@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-sharded bench-service bench-recovery bench-precompute bench-commit profile-precompute ci
+.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-service bench-recovery bench-precompute bench-commit profile-precompute ci
 
 # Tier-1 verification: the full test + benchmark suite.
 test:
@@ -27,14 +27,14 @@ bench-smoke:
 bench-queueing:
 	$(PYTHON) -m pytest benchmarks/test_bench_queueing.py -m bench_smoke -q -s --benchmark-disable
 
-# The engine-registry suites alone: both in-process differential suites
-# (parametrised over every in-process engine the registry reports available,
-# batch and — where importable — numba included), the multiprocess sharded-
-# backend suite, the numba-transcription fallback suite, the batch-commit
-# adversarial/property suite and the registry unit tests.  The CI numba and
-# sharded jobs run exactly this plus their bench gates.
+# The engine-registry suites alone: both differential suites (parametrised
+# over every engine the registry reports available, batch and — where
+# importable — numba included), the precompute suite, the numba-transcription
+# fallback suite, the batch-commit adversarial/property suite and the
+# registry unit tests.  The CI numba job runs exactly this plus its bench
+# gates.
 test-differential:
-	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_kernels_precompute_differential.py tests/test_backends_sharded_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
+	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
 
 # Cross-engine comparison (reference/kernel/batch/numba where available) on
 # both stacks at n = 4096; writes benchmarks/results/engine_speedup.txt and
@@ -42,13 +42,6 @@ test-differential:
 # numba is importable.
 bench-engines:
 	$(PYTHON) -m pytest benchmarks/test_bench_engines.py -q -s --benchmark-disable
-
-# Sharded multiprocess backend benches: the protocol smoke at n = 1024 plus
-# (on machines with >= 4 cores) the >= 2x speedup gate of sharded:4:stale
-# over the best single-process engine at n = 65536, utilisation 0.9; writes
-# benchmarks/results/sharded_speedup.txt.
-bench-sharded:
-	$(PYTHON) -m pytest benchmarks/test_bench_sharded.py -m bench_smoke -q -s --benchmark-disable
 
 # The dispatch-service suites alone: protocol/metrics/state units, the
 # end-to-end asyncio server tests (bit-identity under concurrency, batch
@@ -67,10 +60,10 @@ bench-service:
 # Fault-tolerance suites: the dispatch journal (write/replay/fingerprints),
 # client resilience (timeouts, backoff, idempotency keys), the deterministic
 # chaos harness (seeded duplicates/drops/delays, watchdog degradation, the
-# SIGKILL-mid-stream subprocess gate) and sharded-fleet supervision.  The CI
-# chaos job runs exactly this plus bench-recovery.
+# SIGKILL-mid-stream subprocess gate).  The CI chaos job runs exactly this
+# plus bench-recovery.
 test-chaos:
-	$(PYTHON) -m pytest tests/test_service_journal.py tests/test_service_resilience.py tests/test_chaos_service.py tests/test_chaos_recovery.py tests/test_chaos_sharded.py -q
+	$(PYTHON) -m pytest tests/test_service_journal.py tests/test_service_resilience.py tests/test_chaos_service.py tests/test_chaos_recovery.py -q
 
 # Crash-recovery bench: journal 4096 requests, replay them through a fresh
 # session with fingerprint verification, and assert the replay-rate floor

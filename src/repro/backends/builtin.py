@@ -1,6 +1,6 @@
 """Registration of the built-in engines (imported lazily by the registry).
 
-Five backends per family:
+Four backends per family:
 
 ========== ======== ========================================================
 engine     priority implementation
@@ -8,15 +8,9 @@ engine     priority implementation
 reference  0        scalar per-request / per-arrival loops — the direct
                     transcription of the paper's process definitions and the
                     authority when engines disagree
-sharded    5        tiled multiprocess fleet over shared-memory load
-                    vectors (:mod:`repro.backends.sharded`); opt-in via
-                    ``"sharded[:N][:mode]"`` option specs, never picked by
-                    ``"auto"`` — its stale mode trades the bit-identity
-                    contract for parallel throughput
 kernel     10       batched numpy precompute + pure-Python commit loop
 batch      15       the kernel precompute with the speculate-and-repair
-                    vectorised commit (:mod:`repro.kernels.batch_commit`);
-                    ``"batch[:rounds]"`` caps repair rounds per chunk
+                    vectorised commit (:mod:`repro.kernels.batch_commit`)
 numba      20       the kernel precompute with ``@njit``-compiled commit
                     loops; listed always, selectable only where ``numba``
                     imports
@@ -93,7 +87,7 @@ def _assignment_numba_fns():
     }
 
 
-def _assignment_batch_fns(max_rounds=None):
+def _assignment_batch_fns():
     from repro.kernels import batch_commit as bc
     from repro.kernels import engine as kernel
 
@@ -102,46 +96,24 @@ def _assignment_batch_fns(max_rounds=None):
     # run the kernel engine unchanged.
     return {
         "two_choice": partial(
-            kernel.two_choice_kernel,
-            commit=partial(bc.commit_least_loaded_of_sample, max_rounds=max_rounds),
+            kernel.two_choice_kernel, commit=bc.commit_least_loaded_of_sample
         ),
         "least_loaded": partial(
-            kernel.least_loaded_kernel,
-            commit=partial(bc.commit_least_loaded_scan, max_rounds=max_rounds),
+            kernel.least_loaded_kernel, commit=bc.commit_least_loaded_scan
         ),
         "threshold_hybrid": partial(
-            kernel.threshold_hybrid_kernel,
-            commit=partial(bc.commit_threshold_hybrid, max_rounds=max_rounds),
+            kernel.threshold_hybrid_kernel, commit=bc.commit_threshold_hybrid
         ),
         "random_replica": kernel.random_replica_kernel,
         "nearest_replica": kernel.nearest_replica_kernel,
     }
 
 
-def _queueing_batch_fns(max_rounds=None):
+def _queueing_batch_fns():
     from repro.kernels import batch_commit as bc
     from repro.kernels.queueing import queueing_kernel_window
 
-    return {
-        "window": partial(
-            queueing_kernel_window,
-            commit=partial(bc.commit_window, max_rounds=max_rounds),
-        )
-    }
-
-
-def _configure_batch_assignment(options):
-    from repro.kernels import batch_commit as bc
-
-    max_rounds = bc.parse_options(options)  # ValueError on junk
-    return lambda: _assignment_batch_fns(max_rounds)
-
-
-def _configure_batch_queueing(options):
-    from repro.kernels import batch_commit as bc
-
-    max_rounds = bc.parse_options(options)  # ValueError on junk
-    return lambda: _queueing_batch_fns(max_rounds)
+    return {"window": partial(queueing_kernel_window, commit=bc.commit_window)}
 
 
 def _queueing_reference_fns():
@@ -169,54 +141,6 @@ def _queueing_numba_fns():
     }
 
 
-def _assignment_sharded_fns(num_workers=None, mode=None):
-    from repro.backends import sharded
-    from repro.kernels import engine as kernel
-
-    # Only the d-choice commit is sharded; the other strategies either have
-    # no sequential commit loop or no tile-local structure, so they run the
-    # kernel engine unchanged (keeping the operation table complete).
-    table = dict(_assignment_kernel_fns())
-    table["two_choice"] = partial(
-        sharded.sharded_two_choice,
-        num_workers=num_workers,
-        mode=mode or sharded.DEFAULT_MODE,
-    )
-    return table
-
-
-def _queueing_sharded_fns(num_workers=None, mode=None):
-    from repro.backends import sharded
-
-    return {
-        "window": partial(
-            sharded.sharded_queueing_window,
-            num_workers=num_workers,
-            mode=mode or sharded.DEFAULT_MODE,
-        )
-    }
-
-
-def _configure_sharded_assignment(options):
-    from repro.backends import sharded
-
-    num_workers, mode = sharded.parse_options(options)  # ValueError on junk
-    return lambda: _assignment_sharded_fns(num_workers, mode)
-
-
-def _configure_sharded_queueing(options):
-    from repro.backends import sharded
-
-    num_workers, mode = sharded.parse_options(options)  # ValueError on junk
-    return lambda: _queueing_sharded_fns(num_workers, mode)
-
-
-def _sharded_runtime_info():
-    from repro.backends import sharded
-
-    return sharded.worker_note()
-
-
 register_engine(
     "reference",
     family="assignment",
@@ -239,8 +163,7 @@ register_engine(
     commit_fns=_assignment_batch_fns,
     priority=15,
     supports_streaming=True,
-    description="speculate-and-repair vectorised commit; 'batch[:rounds]' caps repair rounds",
-    configure=_configure_batch_assignment,
+    description="speculate-and-repair vectorised commit",
 )
 register_engine(
     "numba",
@@ -250,18 +173,6 @@ register_engine(
     priority=20,
     supports_streaming=True,
     description="@njit-compiled precompute row + commit loop",
-)
-
-register_engine(
-    "sharded",
-    family="assignment",
-    commit_fns=_assignment_sharded_fns,
-    priority=5,
-    supports_streaming=True,
-    description="tiled multiprocess two-choice; opt in via 'sharded[:N][:mode]'",
-    in_process=False,
-    configure=_configure_sharded_assignment,
-    runtime_info=_sharded_runtime_info,
 )
 
 register_engine(
@@ -286,8 +197,7 @@ register_engine(
     commit_fns=_queueing_batch_fns,
     priority=15,
     supports_streaming=True,
-    description="speculative inter-departure batches; 'batch[:rounds]' accepted for parity",
-    configure=_configure_batch_queueing,
+    description="speculative inter-departure batches",
 )
 register_engine(
     "numba",
@@ -297,15 +207,4 @@ register_engine(
     priority=20,
     supports_streaming=True,
     description="@njit-compiled precompute row + event loop",
-)
-register_engine(
-    "sharded",
-    family="queueing",
-    commit_fns=_queueing_sharded_fns,
-    priority=5,
-    supports_streaming=True,
-    description="tiled multiprocess event loop; opt in via 'sharded[:N][:mode]'",
-    in_process=False,
-    configure=_configure_sharded_queueing,
-    runtime_info=_sharded_runtime_info,
 )

@@ -17,7 +17,6 @@ __all__ = [
     "UnknownEngineError",
     "WorkloadError",
     "ExperimentError",
-    "WorkerFleetError",
     "JournalError",
 ]
 
@@ -69,16 +68,6 @@ class UnknownEngineError(StrategyError):
 
 class WorkloadError(ReproError, ValueError):
     """Request workload generation or parsing failed."""
-
-
-class WorkerFleetError(ReproError, RuntimeError):
-    """A sharded worker fleet died and could not (or must not) be recovered.
-
-    Raised when the respawn budget of a fleet is exhausted, or when a worker
-    died holding state the coordinator cannot reconstruct (queueing ``stale``
-    mode, whose departure heaps live only in the workers — see
-    :mod:`repro.backends.sharded` for the recovery guarantees per mode).
-    """
 
 
 class JournalError(ReproError, RuntimeError):

@@ -39,10 +39,9 @@ chunks.
 Every function here is a drop-in for its namesake in
 :mod:`repro.kernels.commit` / :mod:`repro.kernels.queueing` — same
 signatures, bit-identical outputs for any input — and is registered as the
-``batch`` engine (option spec ``batch[:rounds]``, where ``rounds`` caps the
-repair rounds per chunk before the scalar fallback).  When numba is
-importable, the repair round of the ``of_sample`` family runs as a single
-compiled pass (:func:`repro.backends.numba_backend.repair_round_of_sample`).
+``batch`` engine.  When numba is importable, the repair round of the
+``of_sample`` family runs as a single compiled pass
+(:func:`repro.backends.numba_backend.repair_round_of_sample`).
 
 The queueing variant batches the arrivals between consecutive departures:
 arrivals strictly before the next due departure are speculated in one round,
@@ -72,11 +71,10 @@ __all__ = [
     "commit_threshold_hybrid",
     "commit_window",
     "get_last_stats",
-    "parse_options",
 ]
 
-#: Repair rounds per chunk before the scalar fallback (the ``batch:rounds``
-#: option overrides this).
+#: Repair rounds per chunk before the scalar fallback (the ``max_rounds``
+#: keyword of the static commit functions overrides this).
 DEFAULT_MAX_ROUNDS = 32
 
 #: A round committing fewer than ``active >> _PROGRESS_SHIFT`` requests
@@ -123,26 +121,6 @@ def _reset_stats() -> BatchCommitStats:
     global _LAST_STATS
     _LAST_STATS = BatchCommitStats()
     return _LAST_STATS
-
-
-def parse_options(options: str | None) -> int | None:
-    """Parse the ``batch[:rounds]`` option spec; ``None`` means the default.
-
-    Raises :class:`ValueError` on anything but a positive integer round cap,
-    so the registry rejects malformed specs at resolution time.
-    """
-    if options is None or options == "":
-        return None
-    try:
-        rounds = int(options)
-    except ValueError:
-        raise ValueError(
-            "batch engine options must be 'batch[:rounds]' with a positive "
-            f"integer round cap, got {options!r}"
-        ) from None
-    if rounds < 1:
-        raise ValueError(f"batch round cap must be >= 1, got {rounds}")
-    return rounds
 
 
 # ------------------------------------------------------------------ plumbing
@@ -659,8 +637,6 @@ def commit_window(
     sample_nodes: IntArray,
     sample_counts: IntArray,
     sample_indptr: IntArray,
-    *,
-    max_rounds: int | None = None,
 ) -> IntArray:
     """Batch drop-in for :func:`repro.kernels.queueing.commit_window`.
 
@@ -669,11 +645,9 @@ def commit_window(
     through a scalar mini-loop replaying the event loop's exact float
     accounting.  Heavy traffic shortens the segments until speculation stops
     paying, at which point the remainder of the window falls back to the
-    scalar event loop.  ``max_rounds`` is accepted for option-spec parity;
-    the queueing round structure is governed by departures, so the low
-    progress fallback (not a round cap) bounds the adversarial case.
+    scalar event loop.  The round structure is governed by departures, so
+    the low-progress fallback (not a round cap) bounds the adversarial case.
     """
-    del max_rounds
     from repro.kernels import queueing as _queueing
 
     m = int(times.size)

@@ -16,10 +16,9 @@ serves every following window with zero O(n) work.  Both views are live
 references: mutating the returned list (or array) in place *is* mutating the
 vector, which is exactly how the commit loops use it.
 
-The class also quacks enough like an ndarray (``__array__``, ``__iadd__``,
-slice assignment) that existing engine code — ``loads += np.bincount(...)``,
-the sharded backend's ``np.asarray(loads)`` / ``loads[:] = shared`` write-back
-— works unchanged when handed a :class:`LoadVector` instead of a bare array.
+``loads += np.bincount(...)`` (``__iadd__``) bumps the array view, so the
+replica-strategy kernels update a :class:`LoadVector` exactly as they update a
+bare array.
 """
 
 from __future__ import annotations
@@ -95,28 +94,10 @@ class LoadVector:
             return best
         return max(int(floor), int(self._array[servers].max()))
 
-    # ------------------------------------------------------- ndarray interop
-    def __len__(self) -> int:
-        return self._array.size
-
-    def __array__(self, dtype=None, copy=None):
-        arr = self.readonly_array()
-        if dtype is not None and dtype != arr.dtype:
-            return arr.astype(dtype)
-        if copy:
-            return arr.copy()
-        return arr
-
     def __iadd__(self, other):
         arr = self.as_array()
         arr += other
         return self
-
-    def __getitem__(self, key):
-        return self.readonly_array()[key]
-
-    def __setitem__(self, key, value):
-        self.as_array()[key] = value
 
     def __repr__(self) -> str:
         view = "list" if self._list is not None else "array"

@@ -372,7 +372,14 @@ class CacheNetworkSession:
         self._total_remapped = 0
         self._rng_workload = np.random.default_rng(self._fresh_seq(self._workload_seed))
         self._rng_strategy = np.random.default_rng(self._fresh_seq(self._strategy_seed))
-        self._streams: tuple[np.random.Generator, np.random.Generator] | None = None
+        # Streaming engines draw from one persistent (sample, tie) pair.
+        # Spawning it here rather than on the first window keeps a first
+        # window that raises from changing ``state_digest()``.
+        self._streams: tuple[np.random.Generator, np.random.Generator] | None = (
+            tuple(spawn_generators(self._rng_strategy, 2))
+            if self._streaming_engine
+            else None
+        )
 
     # ----------------------------------------------------------------- workload
     def generate_workload(self) -> RequestBatch:
@@ -438,8 +445,6 @@ class CacheNetworkSession:
                     self._uncached_policy,
                 )
             if self._streaming_engine:
-                if self._streams is None:
-                    self._streams = tuple(spawn_generators(self._rng_strategy, 2))
                 signature = self._strategy.store_signature(self._topology)
                 use_store = signature is not None and (
                     self._store_eligible or self._windows > 0

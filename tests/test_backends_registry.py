@@ -175,54 +175,61 @@ class TestOptionSpecs:
         with pytest.raises(UnknownEngineError, match="option specs"):
             register_engine("bad:name", family="assignment", commit_fns={})
 
-    def test_options_on_an_engine_without_configure_rejected(self):
-        with pytest.raises(UnknownEngineError, match="takes no options"):
+    def test_options_on_a_registered_engine_rejected(self):
+        with pytest.raises(UnknownEngineError, match="unknown"):
             resolve_engine("kernel:4", "queueing")
-
-    def test_configure_hook_derives_a_pinned_engine(self, scratch_registry):
-        seen = []
-
-        def configure(options):
-            if not options.isdigit():
-                raise ValueError(f"expected a worker count, got {options!r}")
-            seen.append(options)
-            return lambda: {"window": ("configured", int(options))}
-
-        register_engine(
-            "tiled",
-            family="queueing",
-            commit_fns={"window": ("default", 0)},
-            configure=configure,
-            priority=-5,
-        )
-        engine = resolve_engine("tiled:4", "queueing")
-        # The derived engine keeps the full spec as its name (what sessions
-        # pin and record), and its table reflects the options.
-        assert engine.name == "tiled:4"
-        assert engine.commit_fns["window"] == ("configured", 4)
-        assert seen == ["4"]
-        # The bare name still resolves to the unconfigured default.
-        assert resolve_engine("tiled", "queueing").commit_fns["window"] == (
-            "default",
-            0,
-        )
-        # A recorded spec round-trips through another resolution.
-        assert resolve_engine_name(engine.name, "queueing") == "tiled:4"
-
-    def test_malformed_options_raise_unknown_engine_error(self, scratch_registry):
-        def configure(options):
-            raise ValueError(f"bad options {options!r}")
-
-        register_engine(
-            "tiled",
-            family="queueing",
-            commit_fns={},
-            configure=configure,
-            priority=-5,
-        )
-        with pytest.raises(UnknownEngineError, match="invalid options"):
-            resolve_engine("tiled:nope", "queueing")
 
     def test_unknown_base_with_options_lists_registered(self):
         with pytest.raises(UnknownEngineError, match="unknown"):
             resolve_engine("warp:4", "assignment")
+
+
+class TestRetiredSpecs:
+    """Specs of the retired multiprocess backend and the retired option-spec
+    syntax fail to resolve, uniformly, instead of degrading silently."""
+
+    @pytest.mark.parametrize("family", ["assignment", "queueing"])
+    @pytest.mark.parametrize("spec", ["sharded", "sharded:2:stale", "batch:8"])
+    def test_retired_spec_raises_listing_registered(self, spec, family):
+        with pytest.raises(UnknownEngineError) as excinfo:
+            resolve_engine(spec, family)
+        message = str(excinfo.value)
+        assert f"unknown {family} engine {spec!r}" in message
+        for name in ("reference", "kernel", "batch", "numba"):
+            assert name in message.split("registered:", 1)[1]
+
+    @pytest.mark.parametrize("kind", ["assignment", "queueing"])
+    def test_recovery_refuses_a_journal_pinning_a_retired_engine(
+        self, kind, tmp_path, monkeypatch
+    ):
+        from repro.service.journal import DispatchJournal, recover_session
+        from repro.session.core import CacheNetworkSession
+        from repro.session.queueing import QueueingSession
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a batch was replayed")
+
+        monkeypatch.setattr(CacheNetworkSession, "dispatch_batch", refuse)
+        monkeypatch.setattr(QueueingSession, "dispatch_batch", refuse)
+        spec = {
+            "kind": kind,
+            "seed": 5,
+            "engine": "sharded:2",
+            "topology": "torus",
+            "nodes": 49,
+            "files": 20,
+            "cache": 3,
+            "popularity": "uniform",
+            "gamma": None,
+            "placement": "partition",
+            "mu": 1.0,
+            "radius": 3.0,
+            "choices": 2,
+            "strategy": "proximity_two_choice",
+        }
+        path = tmp_path / "wal.jsonl"
+        times = [0.5, 1.0] if kind == "queueing" else None
+        with DispatchJournal.create(path, kind=kind, spec=spec, seed=5) as journal:
+            journal.append_batch(0, [1, 2], [3, 4], times, [(2, None)])
+        with pytest.raises(UnknownEngineError, match="sharded:2"):
+            recover_session(path)

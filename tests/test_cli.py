@@ -250,11 +250,11 @@ class TestEnginesCommand:
             import numba  # noqa: F401
         except ImportError:
             assert "numba: not importable" in out
-        # Auto resolution order is inspectable: the priority column plus the
-        # multi-process engine's resolved worker count.
+        # Auto resolution order is inspectable: the priority and auto-order
+        # columns, with the vectorised batch engine listed.
         assert "priority" in out
-        assert "sharded" in out
-        assert "workers by default" in out
+        assert "auto order" in out
+        assert "batch" in out
 
     def test_json_mode_is_machine_readable(self, capsys):
         import json
@@ -306,6 +306,29 @@ class TestEnginesCommand:
         err = capsys.readouterr().err
         assert "unknown assignment engine 'warp'" in err
         assert "kernel" in err and "reference" in err
+
+    @pytest.mark.parametrize("spec", ["sharded", "sharded:2:stale", "batch:8"])
+    @pytest.mark.parametrize(
+        "argv, family",
+        [
+            (["simulate", "--topology", "complete", "--trials", "1"], "assignment"),
+            (["stream", "--topology", "complete", "--windows", "1"], "assignment"),
+            (["supermarket", "--horizon", "1", "--rates", "0.5"], "queueing"),
+        ],
+        ids=["simulate", "stream", "supermarket"],
+    )
+    def test_retired_spec_exits_before_running(self, capsys, argv, family, spec):
+        from repro.backends.registry import registered_engines
+
+        code = main(
+            argv + ["--nodes", "16", "--files", "8", "--cache", "2", "--engine", spec]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unknown {family} engine {spec!r}" in err
+        for engine in registered_engines(family):
+            assert engine.name in err
 
 
 class TestFiguresCommand:

@@ -13,8 +13,7 @@ Three layers of guarantees:
   repair-round transcription in :mod:`repro.backends.numba_backend` agrees
   with the numpy round it replaces (runs as plain Python without numba);
 * **the registry surface** — ``batch`` is a first-class engine for both
-  families with the ``batch[:rounds]`` option spec, rejected specs raise at
-  resolution time, and ``repro engines`` lists it in text and JSON mode.
+  families and ``repro engines`` lists it in text and JSON mode.
 
 The cross-engine differential suites (``tests/test_kernels_differential.py``,
 ``tests/test_kernels_queueing_differential.py``) parametrise over the
@@ -34,9 +33,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import numba_backend as nb
-from repro.backends.registry import engines_payload, resolve_engine, resolve_engine_name
+from repro.backends.registry import engines_payload, resolve_engine
 from repro.cli import main
-from repro.exceptions import UnknownEngineError
 from repro.kernels import batch_commit as bc
 from repro.kernels import commit as scalar
 from repro.kernels import queueing as q
@@ -426,15 +424,13 @@ class TestLoadVector:
         assert lv.max_at(servers) == 4
         assert lv.max_at(np.empty(0, dtype=np.int64), floor=2) == 2
 
-    def test_ndarray_interop(self):
+    def test_iadd_and_fill(self):
         lv = LoadVector(5)
+        lv.as_list()[2] = 3  # list view authoritative
         lv += np.ones(5, dtype=np.int64)
-        lv[2] = 4
-        assert lv[2] == 4
-        assert len(lv) == 5
-        np.testing.assert_array_equal(np.asarray(lv), [1, 1, 4, 1, 1])
+        np.testing.assert_array_equal(lv.as_array(), [1, 1, 4, 1, 1])
         lv.fill(0)
-        assert int(np.asarray(lv).sum()) == 0
+        assert int(lv.readonly_array().sum()) == 0
 
     def test_as_load_array(self):
         lv = LoadVector(3)
@@ -455,33 +451,15 @@ class TestEngineRegistration:
     @pytest.mark.parametrize("family", ["assignment", "queueing"])
     def test_registered_with_priority_between_kernel_and_numba(self, family):
         engine = resolve_engine("batch", family)
-        assert engine.available and engine.in_process
+        assert engine.available
         payload = {e["name"]: e for e in engines_payload(family)}
         assert payload["kernel"]["priority"] < payload["batch"]["priority"] < payload["numba"]["priority"]
         assert payload["batch"]["supports_streaming"] is True
-
-    @pytest.mark.parametrize("family", ["assignment", "queueing"])
-    def test_option_spec_round_trips(self, family):
-        assert resolve_engine_name("batch:8", family) == "batch:8"
-        with pytest.raises(UnknownEngineError, match="invalid options"):
-            resolve_engine("batch:junk", family)
-        with pytest.raises(UnknownEngineError, match="invalid options"):
-            resolve_engine("batch:0", family)
-
-    def test_parse_options(self):
-        assert bc.parse_options(None) is None
-        assert bc.parse_options("") is None
-        assert bc.parse_options("16") == 16
-        with pytest.raises(ValueError):
-            bc.parse_options("fast")
-        with pytest.raises(ValueError):
-            bc.parse_options("-3")
 
     def test_cli_engines_lists_batch(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
         assert "batch" in out
-        assert "batch[:rounds]" in out
 
     def test_cli_engines_json_lists_batch(self, capsys):
         assert main(["engines", "--json"]) == 0
@@ -491,4 +469,3 @@ class TestEngineRegistration:
             row = rows[(family, "batch")]
             assert row["available"] is True
             assert row["priority"] == 15
-            assert "batch[:rounds]" in row["description"]

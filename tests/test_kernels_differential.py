@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.registry import registered_engines
+from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError, StrategyError
 from repro.placement.cache import CacheState
@@ -39,11 +39,7 @@ TOPOLOGIES = [Torus2D(49), Grid2D(49), Ring(40), CompleteTopology(30)]
 
 #: Engine list from the registry: every available engine (numba included
 #: where importable) is compared against the authoritative reference.
-# In-process engines only: multi-process backends (sharded) have their own
-# dedicated differential suite, tests/test_backends_sharded_differential.py.
-ENGINES = [
-    e.name for e in registered_engines("assignment") if e.available and e.in_process
-]
+ENGINES = list(available_engines("assignment"))
 NON_REFERENCE_ENGINES = [name for name in ENGINES if name != "reference"]
 
 

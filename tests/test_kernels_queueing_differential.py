@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.registry import registered_engines
+from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.catalog.popularity import create_popularity
 from repro.exceptions import NoReplicaError, StrategyError
@@ -31,13 +31,9 @@ from repro.workload.arrivals import PoissonArrivalProcess
 
 TOPOLOGIES = [Torus2D(64), Grid2D(49), Ring(40), CompleteTopology(30)]
 
-#: Engine list from the registry: every available *in-process* engine (numba
-#: included where importable) is compared against the authoritative
-#: reference; multi-process backends (sharded) have their own dedicated
-#: suite, tests/test_backends_sharded_differential.py.
-ENGINES = [
-    e.name for e in registered_engines("queueing") if e.available and e.in_process
-]
+#: Engine list from the registry: every available engine (numba included
+#: where importable) is compared against the authoritative reference.
+ENGINES = list(available_engines("queueing"))
 NON_REFERENCE_ENGINES = [name for name in ENGINES if name != "reference"]
 
 
