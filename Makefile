@@ -28,15 +28,15 @@ bench-queueing:
 	$(PYTHON) -m pytest benchmarks/test_bench_queueing.py -m bench_smoke -q -s --benchmark-disable
 
 # The engine-registry suites alone: both differential suites (parametrised
-# over every engine the registry reports available, batch and — where
-# importable — numba included), the precompute suite, the numba-transcription
-# fallback suite, the batch-commit adversarial/property suite and the
-# registry unit tests.  The CI numba job runs exactly this plus its bench
-# gates.
+# over every engine the registry reports available, numba included where
+# importable), the precompute suite, the numba fallback suite (the compiled
+# entry points run as plain Python), the speculative-commit adversarial/
+# property and window-routing suite and the registry unit tests.  The CI
+# numba job runs exactly this plus its bench gates.
 test-differential:
 	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
 
-# Cross-engine comparison (reference/kernel/batch/numba where available) on
+# Cross-engine comparison (reference/kernel/numba where available) on
 # both stacks at n = 4096; writes benchmarks/results/engine_speedup.txt and
 # gates the numba queueing event loop >= 1.5x over the kernel engine when
 # numba is importable.
@@ -79,8 +79,8 @@ bench-recovery:
 bench-precompute:
 	$(PYTHON) -m pytest benchmarks/test_bench_precompute.py -m bench_smoke -q -s --benchmark-disable
 
-# Vectorised-commit speedup gates: the batch engine's speculate-and-repair
-# commit must beat the kernel engine's pure-Python loop by >= 2x on the
+# Vectorised-commit speedup gates: the speculate-and-repair commit (the kernel
+# engine's large-window path) must beat its pure-Python loop by >= 2x on the
 # strategy II shape at n = 65536, m = 5n (REPRO_BENCH_COMMIT_FLOOR), and the
 # dual-view LoadVector must retire the O(n)-per-window load round-trip by
 # >= 3x on 16-request windows (REPRO_BENCH_LOADVEC_FLOOR); writes

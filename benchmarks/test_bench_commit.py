@@ -4,9 +4,10 @@ Two claims, one artifact (``benchmarks/results/commit_speedup.txt``):
 
 * **the vectorised commit wins where the scalar loop was the bottleneck** —
   on the strategy II commit shape at paper scale (n = 65536 servers,
-  m = 5 n requests, d = 2 distinct candidates each), the ``batch`` engine's
-  commit must beat the ``kernel`` engine's pure-Python loop by ≥ 2×
-  (``REPRO_BENCH_COMMIT_FLOOR`` overrides the floor), bit-identically;
+  m = 5 n requests, d = 2 distinct candidates each), the speculate-and-repair
+  rounds the ``kernel`` engine routes such windows to must beat its
+  pure-Python loop by ≥ 2× (``REPRO_BENCH_COMMIT_FLOOR`` overrides the
+  floor), bit-identically;
 * **the dual-view load vector retires the O(n)-per-window round-trip** —
   serving 16-request windows against the same n = 65536 network, the scalar
   commit loop fed a persistent :class:`~repro.kernels.loads.LoadVector`
@@ -171,7 +172,7 @@ def test_bench_commit_report(commit_timings, window_timings, artifact_dir):
 
 
 def test_bench_commit_gate(commit_timings):
-    """batch must beat the pure-Python commit loop at paper scale."""
+    """The speculative rounds must beat the pure-Python commit loop at paper scale."""
     timings, _ = commit_timings
     speedup = timings["kernel"] / timings["batch"]
     floor = _commit_floor()

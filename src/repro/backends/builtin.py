@@ -1,6 +1,6 @@
 """Registration of the built-in engines (imported lazily by the registry).
 
-Four backends per family:
+Three backends per family:
 
 ========== ======== ========================================================
 engine     priority implementation
@@ -8,16 +8,18 @@ engine     priority implementation
 reference  0        scalar per-request / per-arrival loops — the direct
                     transcription of the paper's process definitions and the
                     authority when engines disagree
-kernel     10       batched numpy precompute + pure-Python commit loop
-batch      15       the kernel precompute with the speculate-and-repair
-                    vectorised commit (:mod:`repro.kernels.batch_commit`)
+kernel     10       batched numpy precompute + a commit picked by the window:
+                    the pure-Python loop, or the speculate-and-repair rounds
+                    of :mod:`repro.kernels.batch_commit` for large static
+                    windows on large networks (the queueing event loop is
+                    always the pure-Python one)
 numba      20       the kernel precompute with ``@njit``-compiled commit
                     loops; listed always, selectable only where ``numba``
                     imports
 ========== ======== ========================================================
 
-``"auto"`` resolves to the highest-priority *available* engine, so installing
-numba transparently accelerates every default-engine surface.
+``"auto"`` resolves to the highest-priority *available* engine: ``kernel`` on
+a plain numpy install, ``numba`` once numba imports.
 
 The operation tables are registered as zero-argument loaders, so merely
 importing this module never pulls in an implementation; the numba table in
@@ -87,35 +89,6 @@ def _assignment_numba_fns():
     }
 
 
-def _assignment_batch_fns():
-    from repro.kernels import batch_commit as bc
-    from repro.kernels import engine as kernel
-
-    # Speculate-and-repair vectorised commit for the three d-choice commit
-    # loops; the replica strategies have no sequential commit phase, so they
-    # run the kernel engine unchanged.
-    return {
-        "two_choice": partial(
-            kernel.two_choice_kernel, commit=bc.commit_least_loaded_of_sample
-        ),
-        "least_loaded": partial(
-            kernel.least_loaded_kernel, commit=bc.commit_least_loaded_scan
-        ),
-        "threshold_hybrid": partial(
-            kernel.threshold_hybrid_kernel, commit=bc.commit_threshold_hybrid
-        ),
-        "random_replica": kernel.random_replica_kernel,
-        "nearest_replica": kernel.nearest_replica_kernel,
-    }
-
-
-def _queueing_batch_fns():
-    from repro.kernels import batch_commit as bc
-    from repro.kernels.queueing import queueing_kernel_window
-
-    return {"window": partial(queueing_kernel_window, commit=bc.commit_window)}
-
-
 def _queueing_reference_fns():
     from repro.kernels.queueing import queueing_reference_window
 
@@ -155,15 +128,7 @@ register_engine(
     commit_fns=_assignment_kernel_fns,
     priority=10,
     supports_streaming=True,
-    description="batched precompute + pure-Python commit loop",
-)
-register_engine(
-    "batch",
-    family="assignment",
-    commit_fns=_assignment_batch_fns,
-    priority=15,
-    supports_streaming=True,
-    description="speculate-and-repair vectorised commit",
+    description="batched precompute + scalar or speculative commit by window size",
 )
 register_engine(
     "numba",
@@ -190,14 +155,6 @@ register_engine(
     priority=10,
     supports_streaming=True,
     description="event-batched precompute + pure-Python event loop",
-)
-register_engine(
-    "batch",
-    family="queueing",
-    commit_fns=_queueing_batch_fns,
-    priority=15,
-    supports_streaming=True,
-    description="speculative inter-departure batches",
 )
 register_engine(
     "numba",

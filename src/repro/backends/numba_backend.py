@@ -4,13 +4,14 @@ The sequential commit phases of both stacks — the static d-choice loops in
 :mod:`repro.kernels.commit` and the supermarket event loop in
 :mod:`repro.kernels.queueing` — deliberately operate on flat int64/float64
 arrays with no topology queries and no RNG calls, which is exactly the shape
-``numba.njit`` compiles well.  This module transcribes them 1:1:
+``numba.njit`` compiles well:
 
-* the three static commit loops
-  (:func:`commit_least_loaded_of_sample`, :func:`commit_least_loaded_scan`,
-  :func:`commit_threshold_hybrid`) keep the signatures of their pure-Python
-  originals, so :mod:`repro.kernels.engine` runs unchanged with the compiled
-  loop swapped in through its ``commit`` hook;
+* the three static commit loops are not transcribed at all: their bodies
+  (the ``_*_core`` functions of :mod:`repro.kernels.commit`) are compiled
+  as they stand, and :func:`commit_least_loaded_of_sample`,
+  :func:`commit_least_loaded_scan` and :func:`commit_threshold_hybrid` feed
+  them arrays, keeping the signatures of the list-based originals so
+  :mod:`repro.kernels.engine` takes them through its ``commit`` hook;
 * the queueing event loop (:func:`commit_window`) replaces the ``heapq``
   departure heap with an array-based binary heap ordered by the same
   ``(time, id)`` key — event ids are unique, so pop order (and therefore
@@ -24,11 +25,11 @@ in the same order as the Python engines, so the differential suites hold the
 ``numba`` engine to exact equality with ``reference``.
 
 When numba is not importable the module still imports — ``@njit`` degrades
-to a no-op decorator — so the transcriptions themselves stay testable
-(``tests/test_backends_numba_fallback.py`` runs them in pure Python against
-the reference engine).  The registry, however, only offers the ``numba``
-engine when ``import numba`` succeeds; without it, ``"auto"`` falls back to
-the ``kernel`` engine and explicit ``engine="numba"`` requests raise
+to a no-op decorator — so the array entry points stay testable in pure
+Python (``tests/test_backends_numba_fallback.py`` runs them against the
+reference engine).  The registry, however, only offers the ``numba`` engine
+when ``import numba`` succeeds; without it, ``"auto"`` resolves to the
+``kernel`` engine and explicit ``engine="numba"`` requests raise
 :class:`~repro.exceptions.UnknownEngineError`.
 """
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import commit
 from repro.kernels.loads import as_load_array
 from repro.types import FloatArray, IntArray
 
@@ -70,33 +72,22 @@ except ImportError:  # pragma: no cover - the default offline environment
 
 
 # ----------------------------------------------------------- static commits
-@njit(cache=True)
-def _least_loaded_of_sample_core(nodes, indptr, uniforms, loads, out):
-    m = indptr.shape[0] - 1
-    for i in range(m):
-        start = indptr[i]
-        end = indptr[i + 1]
-        best = loads[nodes[start]]
-        ties = 1
-        pick = start
-        for j in range(start + 1, end):
-            load = loads[nodes[j]]
-            if load < best:
-                best = load
-                ties = 1
-                pick = j
-            elif load == best:
-                ties += 1
-        if ties > 1:
-            k = int(uniforms[i] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] == best:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        loads[nodes[pick]] += 1
-        out[i] = pick
+#
+# The loop bodies live once, in :mod:`repro.kernels.commit`; this module only
+# compiles them and feeds them arrays instead of lists.
+_least_loaded_of_sample_core = njit(cache=True)(commit._least_loaded_of_sample_core)
+_least_loaded_scan_core = njit(cache=True)(commit._least_loaded_scan_core)
+_threshold_hybrid_core = njit(cache=True)(commit._threshold_hybrid_core)
+
+
+def _load_array(num_nodes, initial_loads) -> IntArray:
+    if initial_loads is None:
+        return np.zeros(int(num_nodes), dtype=np.int64)
+    return as_load_array(initial_loads)
+
+
+def _ints(values) -> IntArray:
+    return np.asarray(values, dtype=np.int64)
 
 
 def commit_least_loaded_of_sample(
@@ -108,25 +99,67 @@ def commit_least_loaded_of_sample(
     initial_loads: IntArray | None = None,
 ) -> IntArray:
     """Compiled drop-in for :func:`repro.kernels.commit.commit_least_loaded_of_sample`."""
-    m = int(sample_counts.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    loads = (
-        np.zeros(int(num_nodes), dtype=np.int64)
-        if initial_loads is None
-        else as_load_array(initial_loads)
-    )
-    out = np.empty(m, dtype=np.int64)
-    _least_loaded_of_sample_core(
-        np.asarray(sample_nodes, dtype=np.int64),
-        np.asarray(sample_indptr, dtype=np.int64),
-        np.asarray(tie_uniforms, dtype=np.float64),
-        loads,
-        out,
-    )
+    out = np.empty(int(sample_counts.size), dtype=np.int64)
+    if out.size:
+        _least_loaded_of_sample_core(
+            _ints(sample_nodes),
+            _ints(sample_indptr),
+            np.asarray(tie_uniforms, dtype=np.float64),
+            _load_array(num_nodes, initial_loads),
+            out,
+        )
     return out
 
 
+def commit_least_loaded_scan(
+    num_nodes: int,
+    cand_nodes: IntArray,
+    cand_dists: IntArray,
+    request_starts: IntArray,
+    request_counts: IntArray,
+    tie_uniforms: np.ndarray,
+    initial_loads: IntArray | None = None,
+) -> IntArray:
+    """Compiled drop-in for :func:`repro.kernels.commit.commit_least_loaded_scan`."""
+    out = np.empty(int(request_starts.size), dtype=np.int64)
+    if out.size:
+        _least_loaded_scan_core(
+            _ints(cand_nodes),
+            _ints(cand_dists),
+            _ints(request_starts),
+            _ints(request_counts),
+            np.asarray(tie_uniforms, dtype=np.float64),
+            _load_array(num_nodes, initial_loads),
+            out,
+        )
+    return out
+
+
+def commit_threshold_hybrid(
+    num_nodes: int,
+    sample_nodes: IntArray,
+    sample_dists: IntArray,
+    sample_indptr: IntArray,
+    threshold: float,
+    tie_uniforms: np.ndarray,
+    initial_loads: IntArray | None = None,
+) -> IntArray:
+    """Compiled drop-in for :func:`repro.kernels.commit.commit_threshold_hybrid`."""
+    out = np.empty(int(sample_indptr.size) - 1, dtype=np.int64)
+    if out.size:
+        _threshold_hybrid_core(
+            _ints(sample_nodes),
+            _ints(sample_dists),
+            _ints(sample_indptr),
+            float(threshold),
+            np.asarray(tie_uniforms, dtype=np.float64),
+            _load_array(num_nodes, initial_loads),
+            out,
+        )
+    return out
+
+
+# ------------------------------------------------------------- repair round
 @njit(cache=True)
 def _repair_round_core(loads, nodes, indptr, uniforms, first, sentinel, picks, safe):
     num_active = indptr.shape[0] - 1
@@ -206,143 +239,6 @@ def repair_round_of_sample(
         safe,
     )
     return picks, safe
-
-
-@njit(cache=True)
-def _least_loaded_scan_core(nodes, dists, starts, counts, uniforms, loads, out):
-    m = starts.shape[0]
-    for i in range(m):
-        start = starts[i]
-        end = start + counts[i]
-        best_load = loads[nodes[start]]
-        best_dist = dists[start]
-        ties = 1
-        pick = start
-        for j in range(start + 1, end):
-            load = loads[nodes[j]]
-            if load < best_load:
-                best_load = load
-                best_dist = dists[j]
-                ties = 1
-                pick = j
-            elif load == best_load:
-                dist = dists[j]
-                if dist < best_dist:
-                    best_dist = dist
-                    ties = 1
-                    pick = j
-                elif dist == best_dist:
-                    ties += 1
-        if ties > 1:
-            k = int(uniforms[i] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] == best_load and dists[j] == best_dist:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        loads[nodes[pick]] += 1
-        out[i] = pick
-
-
-def commit_least_loaded_scan(
-    num_nodes: int,
-    cand_nodes: IntArray,
-    cand_dists: IntArray,
-    request_starts: IntArray,
-    request_counts: IntArray,
-    tie_uniforms: np.ndarray,
-    initial_loads: IntArray | None = None,
-) -> IntArray:
-    """Compiled drop-in for :func:`repro.kernels.commit.commit_least_loaded_scan`."""
-    m = int(request_starts.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    loads = (
-        np.zeros(int(num_nodes), dtype=np.int64)
-        if initial_loads is None
-        else as_load_array(initial_loads)
-    )
-    out = np.empty(m, dtype=np.int64)
-    _least_loaded_scan_core(
-        np.asarray(cand_nodes, dtype=np.int64),
-        np.asarray(cand_dists, dtype=np.int64),
-        np.asarray(request_starts, dtype=np.int64),
-        np.asarray(request_counts, dtype=np.int64),
-        np.asarray(tie_uniforms, dtype=np.float64),
-        loads,
-        out,
-    )
-    return out
-
-
-@njit(cache=True)
-def _threshold_hybrid_core(nodes, dists, indptr, threshold, uniforms, loads, out):
-    m = indptr.shape[0] - 1
-    for i in range(m):
-        start = indptr[i]
-        end = indptr[i + 1]
-        min_load = loads[nodes[start]]
-        for j in range(start + 1, end):
-            load = loads[nodes[j]]
-            if load < min_load:
-                min_load = load
-        limit = min_load + threshold
-        found = False
-        best_dist = dists[start]
-        ties = 0
-        pick = start
-        for j in range(start, end):
-            if loads[nodes[j]] <= limit:
-                dist = dists[j]
-                if not found or dist < best_dist:
-                    found = True
-                    best_dist = dist
-                    ties = 1
-                    pick = j
-                elif dist == best_dist:
-                    ties += 1
-        if ties > 1:
-            k = int(uniforms[i] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] <= limit and dists[j] == best_dist:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        loads[nodes[pick]] += 1
-        out[i] = pick
-
-
-def commit_threshold_hybrid(
-    num_nodes: int,
-    sample_nodes: IntArray,
-    sample_dists: IntArray,
-    sample_indptr: IntArray,
-    threshold: float,
-    tie_uniforms: np.ndarray,
-    initial_loads: IntArray | None = None,
-) -> IntArray:
-    """Compiled drop-in for :func:`repro.kernels.commit.commit_threshold_hybrid`."""
-    m = int(sample_indptr.size) - 1
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    loads = (
-        np.zeros(int(num_nodes), dtype=np.int64)
-        if initial_loads is None
-        else as_load_array(initial_loads)
-    )
-    out = np.empty(m, dtype=np.int64)
-    _threshold_hybrid_core(
-        np.asarray(sample_nodes, dtype=np.int64),
-        np.asarray(sample_dists, dtype=np.int64),
-        np.asarray(sample_indptr, dtype=np.int64),
-        float(threshold),
-        np.asarray(tie_uniforms, dtype=np.float64),
-        loads,
-        out,
-    )
-    return out
 
 
 # --------------------------------------------------------- queueing commit

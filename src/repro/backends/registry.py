@@ -19,7 +19,7 @@ adding a backend (numba today, Cython or multiprocess variants later) a
   :class:`~repro.exceptions.UnknownEngineError` with a uniform message
   listing what is registered.
 
-Built-in engines (``reference``, ``kernel``, ``batch``, and ``numba`` when
+Built-in engines (``reference``, ``kernel``, and ``numba`` when
 importable) are registered lazily on first resolution by
 :mod:`repro.backends.builtin`; this module itself imports nothing heavy, so
 any layer may depend on it without creating import cycles.

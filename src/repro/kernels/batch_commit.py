@@ -1,4 +1,4 @@
-"""Speculate-and-repair batch commit: the vectorised ``batch`` engine.
+"""Speculate-and-repair batch commit: the ``kernel`` engine's large-window path.
 
 The commit phase is sequential only in appearance.  Within a window, most
 requests' candidate sets never collide, so the true dependency chain is far
@@ -36,30 +36,30 @@ scope) so the collision rate per round stays low; each chunk drains
 completely before the next begins, preserving sequential semantics across
 chunks.
 
-Every function here is a drop-in for its namesake in
-:mod:`repro.kernels.commit` / :mod:`repro.kernels.queueing` — same
-signatures, bit-identical outputs for any input — and is registered as the
-``batch`` engine.  When numba is importable, the repair round of the
-``of_sample`` family runs as a single compiled pass
+:func:`commit_least_loaded_of_sample` and :func:`commit_threshold_hybrid`
+are drop-ins for their namesakes in :mod:`repro.kernels.commit` — same
+signature, bit-identical output for any input — and always speculate,
+whatever the window.  Choosing between the two is
+:mod:`repro.kernels.engine`'s job: it routes large windows on large networks
+here and everything else to the scalar loop (see ``SPECULATE_MIN_NODES`` /
+``SPECULATE_MIN_WINDOW`` there).  When numba is importable, the repair round
+of the ``of_sample`` family runs as a single compiled pass
 (:func:`repro.backends.numba_backend.repair_round_of_sample`).
 
-The queueing variant batches the arrivals between consecutive departures:
-arrivals strictly before the next due departure are speculated in one round,
-and the *safe prefix* is committed through a scalar mini-loop that replays
-the exact float accounting of :func:`repro.kernels.queueing.commit_window`
-(the metric accumulators are order-dependent, so only prefixes commit).
-Heavy traffic makes those segments short; after a few consecutive short or
-low-progress rounds the window falls back to the scalar event loop.
+The omniscient scan and the queueing event loop have no speculative form:
+``commit_least_loaded_scan`` and ``commit_window`` here are the scalar
+:func:`repro.kernels.commit.commit_least_loaded_scan` and
+:func:`repro.kernels.queueing.commit_window` under their own names.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.kernels import commit as _scalar
+from repro.kernels import queueing as _queueing
 from repro.kernels.loads import LoadVector
 from repro.types import IntArray
 
@@ -81,12 +81,6 @@ DEFAULT_MAX_ROUNDS = 32
 #: triggers the scalar fallback for the chunk remainder (tests lower the
 #: aggressiveness by raising this).
 _PROGRESS_SHIFT = 4
-
-#: Queueing: speculation lookahead (arrivals per round) and the segment /
-#: commit sizes below which speculation is judged not to pay.
-_LOOKAHEAD = 4096
-_QUEUE_MIN_SEGMENT = 8
-_QUEUE_MIN_COMMITS = 8
 
 _SENTINEL = np.int64(2**62)
 _SCRATCH: dict[int, np.ndarray] = {}
@@ -260,16 +254,6 @@ def _speculate_of_sample(loads, nd, dd, counts, iptr, u):
     return _kth_tied(is_min, counts, seg_starts, u)
 
 
-def _speculate_scan(loads, nd, dd, counts, iptr, u, shift):
-    # Lexicographic (load, dist) via one combined int64 key: the minimum-key
-    # set is exactly the scalar loop's "min load, then min dist" tie set.
-    seg_starts = iptr[:-1]
-    key = loads[nd] * shift + dd
-    seg_min = np.minimum.reduceat(key, seg_starts)
-    is_min = key == np.repeat(seg_min, counts)
-    return _kth_tied(is_min, counts, seg_starts, u)
-
-
 def _speculate_hybrid(loads, nd, dd, counts, iptr, u, threshold):
     seg_starts = iptr[:-1]
     gathered = loads[nd]
@@ -334,7 +318,7 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, max_rounds, s
     :func:`numpy.minimum`.  The first-toucher scatter writes epoch stamps
     (``base + row``) through a pre-reversed index so the lowest row wins with
     forward strides and nothing ever needs resetting — which together is what
-    makes the batch engine actually beat the scalar loop on strategy II
+    makes the speculative rounds actually beat the scalar loop on strategy II
     workloads.
     """
     global _EPOCH
@@ -520,59 +504,6 @@ def commit_least_loaded_of_sample(
     return out
 
 
-def commit_least_loaded_scan(
-    num_nodes: int,
-    cand_nodes: IntArray,
-    cand_dists: IntArray,
-    request_starts: IntArray,
-    request_counts: IntArray,
-    tie_uniforms: np.ndarray,
-    initial_loads: IntArray | None = None,
-    *,
-    max_rounds: int | None = None,
-) -> IntArray:
-    """Batch drop-in for :func:`repro.kernels.commit.commit_least_loaded_scan`."""
-    m = int(request_starts.size)
-    stats = _reset_stats()
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    rounds = DEFAULT_MAX_ROUNDS if max_rounds is None else int(max_rounds)
-    loads, writeback = _resolve_loads(num_nodes, initial_loads)
-    out = np.empty(m, dtype=np.int64)
-    if int(request_counts.max()) == 1:
-        _forced_picks(loads, cand_nodes, request_starts, out, writeback, stats, m)
-        return out
-    shift = np.int64(int(cand_dists.max()) + 1)
-    first = _scratch(int(num_nodes))
-    chunk = _chunk_size(int(num_nodes))
-
-    def speculate(loads_, nd, dd, counts, iptr, u):
-        return _speculate_scan(loads_, nd, dd, counts, iptr, u, shift)
-
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        stats.chunks += 1
-        leftover = _drain_chunk_csr(
-            loads, cand_nodes, cand_dists, request_starts, request_counts,
-            lo, hi, tie_uniforms, out, first, rounds, stats, speculate,
-        )
-        if leftover.size:
-            stats.fallbacks += 1
-            stats.committed_scalar += leftover.size
-            sub_counts, sub_iptr, flat_src = _subset_csr(
-                request_starts, request_counts, leftover
-            )
-            picks = _scalar.commit_least_loaded_scan(
-                int(num_nodes), cand_nodes[flat_src], cand_dists[flat_src],
-                sub_iptr[:-1], sub_counts, tie_uniforms[leftover],
-                initial_loads=loads,
-            )
-            out[leftover] = flat_src[picks]
-    if writeback is not None:
-        writeback[:] = loads
-    return out
-
-
 def commit_threshold_hybrid(
     num_nodes: int,
     sample_nodes: IntArray,
@@ -628,155 +559,11 @@ def commit_threshold_hybrid(
     return out
 
 
-# ---------------------------------------------------------- public: queueing
-def commit_window(
-    state,
-    times,
-    services,
-    tie_uniforms,
-    sample_nodes: IntArray,
-    sample_counts: IntArray,
-    sample_indptr: IntArray,
-) -> IntArray:
-    """Batch drop-in for :func:`repro.kernels.queueing.commit_window`.
-
-    Speculates over the arrivals strictly before the next due departure (one
-    repair round per inter-departure segment) and commits the safe *prefix*
-    through a scalar mini-loop replaying the event loop's exact float
-    accounting.  Heavy traffic shortens the segments until speculation stops
-    paying, at which point the remainder of the window falls back to the
-    scalar event loop.  The round structure is governed by departures, so
-    the low-progress fallback (not a round cap) bounds the adversarial case.
-    """
-    from repro.kernels import queueing as _queueing
-
-    m = int(times.size)
-    stats = _reset_stats()
-    out = np.empty(m, dtype=np.int64)
-    if m == 0:
-        state.num_arrivals += 0
-        return out
-    num_nodes = len(state.queue_lengths)
-    queue = np.asarray(state.queue_lengths, dtype=np.int64)
-    busy = np.asarray(state.busy_until, dtype=np.float64)
-    times_arr = np.asarray(times, dtype=np.float64)
-    times_l = times_arr.tolist()
-    services_l = np.asarray(services, dtype=np.float64).tolist()
-    nodes_l = sample_nodes.tolist()
-    events = state.events
-    clock = state.clock
-    in_system = state.in_system
-    area = state.area_queue
-    completed = state.completed
-    max_queue = state.max_queue
-    sum_wait = state.sum_wait
-    sum_sojourn = state.sum_sojourn
-    event_id = state.next_event_id
-    push = heapq.heappush
-    pop = heapq.heappop
-    pairwise = sample_nodes.size == 2 * m and int(sample_counts.min()) == 2
-    first = _scratch(num_nodes)
-
-    def write_back():
-        state.queue_lengths = queue.tolist()
-        state.busy_until = busy.tolist()
-        state.next_event_id = event_id
-        state.clock = float(clock)
-        state.in_system = in_system
-        state.area_queue = float(area)
-        state.completed = completed
-        state.max_queue = max_queue
-        state.sum_wait = float(sum_wait)
-        state.sum_sojourn = float(sum_sojourn)
-
-    p = 0
-    lowp = 0
-    smallseg = 0
-    while p < m:
-        now_p = times_l[p]
-        while events and events[0][0] <= now_p:
-            dep_time, _, dep_server = pop(events)
-            area += in_system * (dep_time - clock)
-            clock = dep_time
-            queue[dep_server] -= 1
-            in_system -= 1
-            completed += 1
-        if events:
-            hi = p + int(
-                np.searchsorted(times_arr[p : p + _LOOKAHEAD], events[0][0], side="left")
-            )
-            if hi == p:  # defensive: the drain above guarantees times[p] < top
-                hi = p + 1
-        else:
-            hi = min(m, p + _LOOKAHEAD)
-        active = hi - p
-        if pairwise:
-            cand = sample_nodes[2 * p : 2 * hi].reshape(active, 2)
-            wcol = _pick_uniform(queue, cand, tie_uniforms[p:hi])
-            safe = _safe_uniform(first, cand)
-            picks = 2 * np.arange(p, hi, dtype=np.int64) + wcol
-        else:
-            counts = sample_counts[p:hi]
-            iptr = _layout(counts)
-            flat0 = int(sample_indptr[p])
-            nd = sample_nodes[flat0 : flat0 + int(iptr[-1])]
-            pick_local = _speculate_of_sample(queue, nd, None, counts, iptr, tie_uniforms[p:hi])
-            safe = _safe_csr(first, nd, counts, iptr[:-1])
-            picks = pick_local + flat0
-        stats.rounds += 1
-        prefix = active if bool(safe.all()) else int(np.argmin(safe))
-        picks_l = picks.tolist()
-        committed = 0
-        for idx in range(prefix):
-            i = p + idx
-            now = times_l[i]
-            if events and events[0][0] <= now:
-                break
-            area += in_system * (now - clock)
-            clock = now
-            pick = picks_l[idx]
-            server = nodes_l[pick]
-            svc_start = busy[server]
-            if svc_start < now:
-                svc_start = now
-            finish = svc_start + services_l[i]
-            busy[server] = finish
-            sum_wait += svc_start - now
-            sum_sojourn += finish - now
-            load = int(queue[server]) + 1
-            queue[server] = load
-            in_system += 1
-            if load > max_queue:
-                max_queue = load
-            push(events, (float(finish), event_id, server))
-            event_id += 1
-            out[i] = pick
-            committed += 1
-        p += committed
-        stats.committed_vectorised += committed
-        smallseg = smallseg + 1 if active < _QUEUE_MIN_SEGMENT else 0
-        lowp = (
-            lowp + 1
-            if (committed < _QUEUE_MIN_COMMITS and active >= 2 * _QUEUE_MIN_COMMITS)
-            else 0
-        )
-        if (smallseg >= 3 or lowp >= 2) and p < m:
-            write_back()
-            state.num_arrivals += p
-            stats.fallbacks += 1
-            stats.committed_scalar += m - p
-            flat0 = int(sample_indptr[p])
-            sub = _queueing.commit_window(
-                state,
-                times_arr[p:],
-                np.asarray(services, dtype=np.float64)[p:],
-                np.asarray(tie_uniforms, dtype=np.float64)[p:],
-                sample_nodes[flat0:],
-                sample_counts[p:],
-                sample_indptr[p:] - flat0,
-            )
-            out[p:] = sub + flat0
-            return out
-    write_back()
-    state.num_arrivals += m
-    return out
+# ------------------------------------------------------------ public: aliases
+# Not speculative commits: the omniscient scan's wide candidate sets collide
+# too often for the rounds to pay, and the queueing event loop runs scalar on
+# every engine but ``numba``.  The names stay because the benchmark's timing
+# shims (``perfbench/tracing.py``) resolve both on this module when they
+# install.
+commit_least_loaded_scan = _scalar.commit_least_loaded_scan
+commit_window = _queueing.commit_window

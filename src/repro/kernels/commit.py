@@ -3,15 +3,19 @@
 Everything that does not depend on the evolving load vector happens in the
 precompute phase; what remains — for every request, inspect the loads of its
 (pre-sampled) candidates, pick a winner, bump its load — is inherently
-sequential and lives here.  The loops deliberately run over plain Python lists
-of ints: per-iteration work is a handful of list index operations, with no
-numpy scalar boxing, no topology queries and no RNG calls.
+sequential and lives here.
+
+Each loop body is written once, as a ``_*_core`` function that uses nothing
+but indexing, ``len`` and scalar arithmetic.  The ``kernel`` engine runs the
+cores as plain Python over lists of ints (no numpy scalar boxing); the
+``numba`` engine compiles the very same functions over int64/float64 arrays
+(:mod:`repro.backends.numba_backend`).  There is no second copy to drift.
 
 Tie-breaking consumes one pre-drawn uniform ``u`` per request (drawn whether
 or not a tie occurs, so the stream position never depends on the loads): if
 ``t`` options tie, the winner is option ``floor(u * t)`` in candidate order.
 The scalar reference engine implements the exact same rule, which is what
-makes the two engines bit-identical.
+makes the engines bit-identical.
 
 All functions return, per request, the *flat index* of the winning candidate
 into the arrays they were given, so callers gather node ids and hop distances
@@ -32,69 +36,9 @@ __all__ = [
 ]
 
 
-def _borrow_loads(num_nodes, initial_loads):
-    """The working load list plus whether it must be copied back on exit.
-
-    A :class:`~repro.kernels.loads.LoadVector` hands out its live list view —
-    mutating it *is* updating the vector, so neither the O(n) ``tolist()`` on
-    entry nor the O(n) write-back on exit happens; that is what makes tiny
-    windows against large networks cheap.  Bare arrays keep the original
-    round-trip contract.
-    """
-    if initial_loads is None:
-        return [0] * int(num_nodes), False
-    if isinstance(initial_loads, LoadVector):
-        return initial_loads.as_list(), False
-    return initial_loads.tolist(), True
-
-
-def commit_least_loaded_of_sample(
-    num_nodes: int,
-    sample_nodes: IntArray,
-    sample_counts: IntArray,
-    sample_indptr: IntArray,
-    tie_uniforms: np.ndarray,
-    initial_loads: IntArray | None = None,
-) -> IntArray:
-    """Strategy II commit: least loaded of each request's sampled candidates.
-
-    Returns the flat index into ``sample_nodes`` of every request's winner.
-    ``initial_loads``, when given, seeds the load vector and receives the
-    updated values in place — the mechanism behind incremental (session)
-    serving, where the loads persist across request windows.
-    """
-    m = int(sample_counts.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    nodes = sample_nodes.tolist()
-    uniforms = tie_uniforms.tolist()
-    loads, writeback = _borrow_loads(num_nodes, initial_loads)
-    out = [0] * m
-
-    if sample_nodes.size == 2 * m and int(sample_counts.min()) == 2:
-        # Fast path: the paper's d = 2 with every candidate set >= 2.
-        for i in range(m):
-            j = 2 * i
-            a = nodes[j]
-            b = nodes[j + 1]
-            load_a = loads[a]
-            load_b = loads[b]
-            if load_a < load_b:
-                winner, pick = a, j
-            elif load_b < load_a:
-                winner, pick = b, j + 1
-            elif uniforms[i] < 0.5:
-                winner, pick = a, j
-            else:
-                winner, pick = b, j + 1
-            loads[winner] += 1
-            out[i] = pick
-        if writeback:
-            initial_loads[:] = loads
-        return np.asarray(out, dtype=np.int64)
-
-    indptr = sample_indptr.tolist()
-    for i in range(m):
+# ------------------------------------------------------------- loop bodies
+def _least_loaded_of_sample_core(nodes, indptr, uniforms, loads, out):
+    for i in range(len(indptr) - 1):
         start = indptr[i]
         end = indptr[i + 1]
         best = loads[nodes[start]]
@@ -116,42 +60,12 @@ def commit_least_loaded_of_sample(
                         pick = j
                         break
                     k -= 1
-        winner = nodes[pick]
-        loads[winner] += 1
+        loads[nodes[pick]] += 1
         out[i] = pick
-    if writeback:
-        initial_loads[:] = loads
-    return np.asarray(out, dtype=np.int64)
 
 
-def commit_least_loaded_scan(
-    num_nodes: int,
-    cand_nodes: IntArray,
-    cand_dists: IntArray,
-    request_starts: IntArray,
-    request_counts: IntArray,
-    tie_uniforms: np.ndarray,
-    initial_loads: IntArray | None = None,
-) -> IntArray:
-    """Omniscient commit: scan every candidate, pick the least loaded.
-
-    Ties on load prefer the smaller hop distance; residual ties resolve via
-    the pre-drawn uniforms.  Returns flat indices into ``cand_nodes``.
-    ``initial_loads`` seeds (and receives back) the persistent load vector,
-    as in :func:`commit_least_loaded_of_sample`.
-    """
-    m = int(request_starts.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    nodes = cand_nodes.tolist()
-    dists = cand_dists.tolist()
-    starts = request_starts.tolist()
-    counts = request_counts.tolist()
-    uniforms = tie_uniforms.tolist()
-    loads, writeback = _borrow_loads(num_nodes, initial_loads)
-    out = [0] * m
-
-    for i in range(m):
+def _least_loaded_scan_core(nodes, dists, starts, counts, uniforms, loads, out):
+    for i in range(len(starts)):
         start = starts[i]
         end = start + counts[i]
         best_load = loads[nodes[start]]
@@ -181,12 +95,130 @@ def commit_least_loaded_scan(
                         pick = j
                         break
                     k -= 1
-        winner = nodes[pick]
-        loads[winner] += 1
+        loads[nodes[pick]] += 1
         out[i] = pick
+
+
+def _threshold_hybrid_core(nodes, dists, indptr, threshold, uniforms, loads, out):
+    for i in range(len(indptr) - 1):
+        start = indptr[i]
+        end = indptr[i + 1]
+        min_load = loads[nodes[start]]
+        for j in range(start + 1, end):
+            load = loads[nodes[j]]
+            if load < min_load:
+                min_load = load
+        limit = min_load + threshold
+        found = False
+        best_dist = dists[start]
+        ties = 0
+        pick = start
+        for j in range(start, end):
+            if loads[nodes[j]] <= limit:
+                dist = dists[j]
+                if not found or dist < best_dist:
+                    found = True
+                    best_dist = dist
+                    ties = 1
+                    pick = j
+                elif dist == best_dist:
+                    ties += 1
+        if ties > 1:
+            k = int(uniforms[i] * ties)
+            for j in range(start, end):
+                if loads[nodes[j]] <= limit and dists[j] == best_dist:
+                    if k == 0:
+                        pick = j
+                        break
+                    k -= 1
+        loads[nodes[pick]] += 1
+        out[i] = pick
+
+
+# -------------------------------------------------------------- list entry
+def _borrow_loads(num_nodes, initial_loads):
+    """The working load list plus whether it must be copied back on exit.
+
+    A :class:`~repro.kernels.loads.LoadVector` hands out its live list view —
+    mutating it *is* updating the vector, so neither the O(n) ``tolist()`` on
+    entry nor the O(n) write-back on exit happens; that is what makes tiny
+    windows against large networks cheap.  Bare arrays keep the original
+    round-trip contract.
+    """
+    if initial_loads is None:
+        return [0] * int(num_nodes), False
+    if isinstance(initial_loads, LoadVector):
+        return initial_loads.as_list(), False
+    return initial_loads.tolist(), True
+
+
+def _run(core, m, num_nodes, initial_loads, *args) -> IntArray:
+    """Run ``core`` over lists; ``args`` are the arrays/scalars before the loads."""
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    loads, writeback = _borrow_loads(num_nodes, initial_loads)
+    out = [0] * m
+    core(
+        *(a.tolist() if isinstance(a, np.ndarray) else a for a in args), loads, out
+    )
     if writeback:
         initial_loads[:] = loads
     return np.asarray(out, dtype=np.int64)
+
+
+def commit_least_loaded_of_sample(
+    num_nodes: int,
+    sample_nodes: IntArray,
+    sample_counts: IntArray,
+    sample_indptr: IntArray,
+    tie_uniforms: np.ndarray,
+    initial_loads: IntArray | None = None,
+) -> IntArray:
+    """Strategy II commit: least loaded of each request's sampled candidates.
+
+    Returns the flat index into ``sample_nodes`` of every request's winner.
+    ``initial_loads``, when given, seeds the load vector and receives the
+    updated values in place — the mechanism behind incremental (session)
+    serving, where the loads persist across request windows.
+    """
+    return _run(
+        _least_loaded_of_sample_core,
+        int(sample_counts.size),
+        num_nodes,
+        initial_loads,
+        sample_nodes,
+        sample_indptr,
+        tie_uniforms,
+    )
+
+
+def commit_least_loaded_scan(
+    num_nodes: int,
+    cand_nodes: IntArray,
+    cand_dists: IntArray,
+    request_starts: IntArray,
+    request_counts: IntArray,
+    tie_uniforms: np.ndarray,
+    initial_loads: IntArray | None = None,
+) -> IntArray:
+    """Omniscient commit: scan every candidate, pick the least loaded.
+
+    Ties on load prefer the smaller hop distance; residual ties resolve via
+    the pre-drawn uniforms.  Returns flat indices into ``cand_nodes``.
+    ``initial_loads`` seeds (and receives back) the persistent load vector,
+    as in :func:`commit_least_loaded_of_sample`.
+    """
+    return _run(
+        _least_loaded_scan_core,
+        int(request_starts.size),
+        num_nodes,
+        initial_loads,
+        cand_nodes,
+        cand_dists,
+        request_starts,
+        request_counts,
+        tie_uniforms,
+    )
 
 
 def commit_threshold_hybrid(
@@ -206,48 +238,14 @@ def commit_threshold_hybrid(
     ``sample_nodes``.  ``initial_loads`` seeds (and receives back) the
     persistent load vector, as in :func:`commit_least_loaded_of_sample`.
     """
-    m = int(sample_indptr.size) - 1
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    nodes = sample_nodes.tolist()
-    dists = sample_dists.tolist()
-    indptr = sample_indptr.tolist()
-    uniforms = tie_uniforms.tolist()
-    loads, writeback = _borrow_loads(num_nodes, initial_loads)
-    out = [0] * m
-
-    for i in range(m):
-        start = indptr[i]
-        end = indptr[i + 1]
-        min_load = loads[nodes[start]]
-        for j in range(start + 1, end):
-            load = loads[nodes[j]]
-            if load < min_load:
-                min_load = load
-        limit = min_load + threshold
-        best_dist = None
-        ties = 0
-        pick = start
-        for j in range(start, end):
-            if loads[nodes[j]] <= limit:
-                dist = dists[j]
-                if best_dist is None or dist < best_dist:
-                    best_dist = dist
-                    ties = 1
-                    pick = j
-                elif dist == best_dist:
-                    ties += 1
-        if ties > 1:
-            k = int(uniforms[i] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] <= limit and dists[j] == best_dist:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        winner = nodes[pick]
-        loads[winner] += 1
-        out[i] = pick
-    if writeback:
-        initial_loads[:] = loads
-    return np.asarray(out, dtype=np.int64)
+    return _run(
+        _threshold_hybrid_core,
+        int(sample_indptr.size) - 1,
+        num_nodes,
+        initial_loads,
+        sample_nodes,
+        sample_dists,
+        sample_indptr,
+        threshold,
+        tie_uniforms,
+    )

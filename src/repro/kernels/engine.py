@@ -7,8 +7,11 @@ Every entry point here follows the same shape:
 2. derive the two RNG streams of the contract
    (``rng_sample, rng_tie = spawn_generators(seed, 2)``) and draw *all* of
    their output up front;
-3. run the minimal sequential commit loop (load-dependent strategies) or a
-   single vectorised gather (load-independent strategies);
+3. run the commit (load-dependent strategies) or a single vectorised gather
+   (load-independent strategies).  The commit is the minimal sequential loop
+   of :mod:`repro.kernels.commit` for small windows and the bit-identical
+   speculate-and-repair rounds of :mod:`repro.kernels.batch_commit` for
+   large windows on large networks;
 4. gather node ids / hop distances vectorised; unconstrained Strategy II
    resolves chosen-replica distances in one batched
    :meth:`~repro.topology.base.Topology.distances_between` call *after* the
@@ -45,12 +48,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.commit import (
-    commit_least_loaded_of_sample,
-    commit_least_loaded_scan,
-    commit_threshold_hybrid,
-)
 from repro.exceptions import NoReplicaError
+from repro.kernels import batch_commit, commit as scalar_commit
 from repro.kernels.group_index import (
     GroupStore,
     build_group_index,
@@ -73,6 +72,28 @@ __all__ = [
     "random_replica_kernel",
     "nearest_replica_kernel",
 ]
+
+
+#: Window routing of the sampled d-choice commits (Strategy II and the
+#: threshold hybrid).  A window of at least ``SPECULATE_MIN_WINDOW`` requests
+#: on a network of at least ``SPECULATE_MIN_NODES`` servers commits through
+#: the speculate-and-repair rounds of :mod:`repro.kernels.batch_commit`;
+#: every other window runs the scalar loop of :mod:`repro.kernels.commit`.
+#: Both are bit-identical, so the choice is purely a cost one; the values
+#: come from the crossover sweep in ``benchmarks/sweep_commit_crossover.py``
+#: (its last run is recorded in ``benchmarks/results/commit_crossover.json``).
+#: The omniscient scan has no speculative form (its wide candidate sets
+#: collide too often for the rounds to pay), so :func:`least_loaded_kernel`
+#: always runs the scalar loop.
+SPECULATE_MIN_NODES = 4096
+SPECULATE_MIN_WINDOW = 512
+
+
+def _commit_module(num_nodes: int, window: int):
+    """The module whose commit serves this window: speculative or scalar."""
+    if num_nodes >= SPECULATE_MIN_NODES and window >= SPECULATE_MIN_WINDOW:
+        return batch_commit
+    return scalar_commit
 
 
 def _empty_result(n: int, strategy_name: str) -> AssignmentResult:
@@ -109,13 +130,15 @@ def two_choice_kernel(
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
     store: GroupStore | None = None,
-    commit=commit_least_loaded_of_sample,
+    commit=None,
     row_kernel=None,
 ) -> AssignmentResult:
     """Batched Strategy II (proximity-aware ``d``-choice assignment).
 
-    ``commit`` swaps the sequential commit-loop implementation (same
-    signature and bit-identical semantics as
+    The commit runs the scalar loop or the speculative rounds, whichever the
+    window's size calls for (see ``SPECULATE_MIN_WINDOW``).  ``commit``
+    overrides that choice with one implementation (same signature and
+    bit-identical semantics as
     :func:`~repro.kernels.commit.commit_least_loaded_of_sample`) — the hook
     compiled backends (:mod:`repro.backends.numba_backend`) plug into while
     sharing all of this precompute.  ``row_kernel`` swaps the precompute's
@@ -143,6 +166,8 @@ def two_choice_kernel(
     )
     tie_uniforms = rng_tie.random(m)
     sample_nodes, sample_dists = _gather_sample(index, positions, sample_counts)
+    if commit is None:
+        commit = _commit_module(n, m).commit_least_loaded_of_sample
     winners = commit(
         n, sample_nodes, sample_counts, sample_indptr, tie_uniforms, loads
     )
@@ -172,13 +197,14 @@ def least_loaded_kernel(
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
     store: GroupStore | None = None,
-    commit=commit_least_loaded_scan,
+    commit=scalar_commit.commit_least_loaded_scan,
     row_kernel=None,
 ) -> AssignmentResult:
     """Batched omniscient baseline: least loaded replica in the ball.
 
-    ``commit`` swaps the commit-loop implementation (see
-    :func:`two_choice_kernel`).
+    Always commits through the scalar loop (its wide candidate sets collide
+    too often for the speculative rounds to pay); ``commit`` swaps the
+    commit-loop implementation (see :func:`two_choice_kernel`).
     """
     m = requests.num_requests
     n = topology.n
@@ -228,7 +254,7 @@ def threshold_hybrid_kernel(
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
     store: GroupStore | None = None,
-    commit=commit_threshold_hybrid,
+    commit=None,
     row_kernel=None,
 ) -> AssignmentResult:
     """Batched threshold hybrid: closest sampled candidate within the slack.
@@ -258,6 +284,8 @@ def threshold_hybrid_kernel(
     )
     tie_uniforms = rng_tie.random(m)
     sample_nodes, sample_dists = _gather_sample(index, positions, sample_counts)
+    if commit is None:
+        commit = _commit_module(n, m).commit_threshold_hybrid
     winners = commit(
         n, sample_nodes, sample_dists, sample_indptr, threshold, tie_uniforms, loads
     )

@@ -420,10 +420,17 @@ def queueing_reference_window(
     accepted for signature parity and ignored.  Must stay bit-identical to
     :func:`queueing_kernel_window` for any seed; when the two disagree, this
     engine is authoritative.  Like the kernel window, returns the
-    per-arrival ``(servers, hops)`` decisions.
+    per-arrival ``(servers, hops)`` decisions, and like it commits nothing
+    when a file of the window is cached nowhere.
     """
     del store  # the scalar engine recomputes candidates per arrival
     m = requests.num_requests
+    # Fail before draining a departure, moving the clock or drawing from a
+    # stream, so a window that raises leaves ``state`` and ``streams`` as they
+    # were: the first arrival (in arrival order) whose file no server caches.
+    uncached = np.isin(requests.files, cache.uncached_files())
+    if uncached.any():
+        raise NoReplicaError(int(requests.files[np.argmax(uncached)]))
     rng_sample, rng_tie, rng_service = streams
     unconstrained = bool(np.isinf(radius) or radius >= topology.diameter)
     scale = 1.0 / service_rate
@@ -439,8 +446,6 @@ def queueing_reference_window(
         origin = int(requests.origins[i])
         file_id = int(requests.files[i])
         replicas = cache.file_nodes(file_id)
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
         if unconstrained:
             candidates = replicas
             candidate_dists = None

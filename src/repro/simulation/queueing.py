@@ -31,7 +31,8 @@ the backend registry (:mod:`repro.backends.registry`), all implementing the
   the event loop compiled by ``@njit``;
 * ``engine="reference"`` — the scalar per-arrival transcription, kept boring
   for differential testing;
-* ``engine="auto"`` (default) — the fastest available of the above.
+* ``engine="auto"`` (default) — the fastest available of the above:
+  ``kernel`` on a plain numpy install, ``numba`` once numba imports.
 
 All engines are **bit-identical** for any seed (enforced by
 ``tests/test_kernels_queueing_differential.py``); the kernel engine is ~10×

@@ -1,11 +1,12 @@
-"""Differential tests of the numba backend's transcriptions, numba or not.
+"""Differential tests of the numba backend's operation tables, numba or not.
 
 Without numba installed the backend's ``@njit`` decorator degrades to a
-no-op, so the *logic* of the compiled loops — the commit transcriptions and
-the array-based departure heap — runs as plain Python.  These tests register
-that operation table as a low-priority scratch engine and hold it to the
-same bit-identity obligation as any other backend, so the transcriptions are
-verified on every environment; where numba *is* importable the same table is
+no-op, so the *logic* of the compiled code — the static commit loops (the
+loop bodies of :mod:`repro.kernels.commit`, fed arrays instead of lists),
+the array-based departure heap and the precompute kernels — runs as plain
+Python.  These tests register that operation table as a low-priority
+scratch engine and hold it to the same bit-identity obligation as any other
+backend, so the array paths are verified on every environment; where numba *is* importable the same table is
 additionally exercised compiled through the regular differential suites
 (the registry lists ``numba`` there and they parametrise from it).
 """

@@ -185,22 +185,26 @@ class TestOptionSpecs:
 
 
 class TestRetiredSpecs:
-    """Specs of the retired multiprocess backend and the retired option-spec
-    syntax fail to resolve, uniformly, instead of degrading silently."""
+    """Specs of the retired multiprocess and speculative (``batch``) backends
+    and the retired option-spec syntax fail to resolve, uniformly, instead of
+    degrading silently."""
 
     @pytest.mark.parametrize("family", ["assignment", "queueing"])
-    @pytest.mark.parametrize("spec", ["sharded", "sharded:2:stale", "batch:8"])
+    @pytest.mark.parametrize("spec", ["sharded", "sharded:2:stale", "batch", "batch:8"])
     def test_retired_spec_raises_listing_registered(self, spec, family):
         with pytest.raises(UnknownEngineError) as excinfo:
             resolve_engine(spec, family)
         message = str(excinfo.value)
         assert f"unknown {family} engine {spec!r}" in message
-        for name in ("reference", "kernel", "batch", "numba"):
-            assert name in message.split("registered:", 1)[1]
+        listed = message.split("registered:", 1)[1]
+        for engine in registered_engines(family):
+            assert engine.name in listed
+        assert "batch" not in listed
 
+    @pytest.mark.parametrize("engine", ["sharded:2", "batch"])
     @pytest.mark.parametrize("kind", ["assignment", "queueing"])
     def test_recovery_refuses_a_journal_pinning_a_retired_engine(
-        self, kind, tmp_path, monkeypatch
+        self, kind, engine, tmp_path, monkeypatch
     ):
         from repro.service.journal import DispatchJournal, recover_session
         from repro.session.core import CacheNetworkSession
@@ -214,7 +218,7 @@ class TestRetiredSpecs:
         spec = {
             "kind": kind,
             "seed": 5,
-            "engine": "sharded:2",
+            "engine": engine,
             "topology": "torus",
             "nodes": 49,
             "files": 20,
@@ -231,5 +235,5 @@ class TestRetiredSpecs:
         times = [0.5, 1.0] if kind == "queueing" else None
         with DispatchJournal.create(path, kind=kind, spec=spec, seed=5) as journal:
             journal.append_batch(0, [1, 2], [3, 4], times, [(2, None)])
-        with pytest.raises(UnknownEngineError, match="sharded:2"):
+        with pytest.raises(UnknownEngineError, match=repr(engine)):
             recover_session(path)

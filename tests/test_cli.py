@@ -251,10 +251,9 @@ class TestEnginesCommand:
         except ImportError:
             assert "numba: not importable" in out
         # Auto resolution order is inspectable: the priority and auto-order
-        # columns, with the vectorised batch engine listed.
+        # columns.
         assert "priority" in out
         assert "auto order" in out
-        assert "batch" in out
 
     def test_json_mode_is_machine_readable(self, capsys):
         import json
@@ -307,7 +306,7 @@ class TestEnginesCommand:
         assert "unknown assignment engine 'warp'" in err
         assert "kernel" in err and "reference" in err
 
-    @pytest.mark.parametrize("spec", ["sharded", "sharded:2:stale", "batch:8"])
+    @pytest.mark.parametrize("spec", ["sharded", "sharded:2:stale", "batch", "batch:8"])
     @pytest.mark.parametrize(
         "argv, family",
         [

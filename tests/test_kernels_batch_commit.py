@@ -3,8 +3,7 @@
 Three layers of guarantees:
 
 * **bit-identity** — :mod:`repro.kernels.batch_commit` must match the scalar
-  loops of :mod:`repro.kernels.commit` / :mod:`repro.kernels.queueing`
-  element-for-element on any input, including the adversarial windows where
+  loops of :mod:`repro.kernels.commit` element-for-element on any input, including the adversarial windows where
   speculation is maximally wrong (every request fighting over one candidate
   pair, all-shared candidate sets, heavy ties at tie-uniform boundaries);
 * **the repair-round structure** — with the progress fallback disabled, the
@@ -12,20 +11,22 @@ Three layers of guarantees:
   general at most) the longest per-node collision chain, and the compiled
   repair-round transcription in :mod:`repro.backends.numba_backend` agrees
   with the numpy round it replaces (runs as plain Python without numba);
-* **the registry surface** — ``batch`` is a first-class engine for both
-  families and ``repro engines`` lists it in text and JSON mode.
+* **window routing** — the ``kernel`` engine speculates on large windows of
+  large networks and runs the scalar loop otherwise, with thresholds that
+  match the committed crossover sweep; ``batch`` is no engine of its own, so
+  ``repro engines`` lists ``reference``, ``kernel`` and ``numba`` only.
 
 The cross-engine differential suites (``tests/test_kernels_differential.py``,
-``tests/test_kernels_queueing_differential.py``) parametrise over the
-registry and therefore already hold ``batch`` to reference equality on every
-strategy and topology; this file adds the adversarial and structural cases
-those suites cannot express.
+``tests/test_kernels_queueing_differential.py``) hold the ``kernel`` engine,
+on both commit paths, to reference equality on every strategy and topology;
+this file adds the adversarial and structural cases those suites cannot
+express.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import numba_backend as nb
-from repro.backends.registry import engines_payload, resolve_engine
 from repro.cli import main
 from repro.kernels import batch_commit as bc
 from repro.kernels import commit as scalar
-from repro.kernels import queueing as q
+from repro.kernels import engine
 from repro.kernels.loads import LoadVector, as_load_array
+from repro.session import open_session
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -104,30 +105,6 @@ class TestAdversarialCollisions:
             np.array([0.0, 0.5 - eps, 0.5, 1.0 - eps]), m // 4
         )
         _assert_of_sample_identical(n, nodes, counts, indptr, uniforms)
-
-    def test_scan_shared_rows_and_distance_ties(self):
-        # Scan layout with *shared* group rows (requests of one group point
-        # at the same flat segment) and distance ties layered on load ties.
-        rng = np.random.default_rng(3)
-        n, rows, m = 40, 5, 180
-        row_counts = rng.integers(2, 6, size=rows).astype(np.int64)
-        row_iptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=row_iptr[1:])
-        nodes = np.empty(int(row_iptr[-1]), dtype=np.int64)
-        for g in range(rows):
-            nodes[row_iptr[g] : row_iptr[g + 1]] = rng.choice(
-                n, size=row_counts[g], replace=False
-            )
-        dists = rng.integers(0, 2, size=nodes.size).astype(np.int64)
-        gid = rng.integers(0, rows, size=m)
-        starts = row_iptr[:-1][gid]
-        counts = row_counts[gid]
-        uniforms = rng.random(m)
-        expected = scalar.commit_least_loaded_scan(
-            n, nodes, dists, starts, counts, uniforms
-        )
-        actual = bc.commit_least_loaded_scan(n, nodes, dists, starts, counts, uniforms)
-        np.testing.assert_array_equal(actual, expected)
 
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.5, 2.0])
     def test_hybrid_thresholds(self, threshold):
@@ -311,88 +288,6 @@ class TestRepairRounds:
         assert bool(safe[0]), "the head of the active set is always safe"
 
 
-# --------------------------------------------------------- queueing windows
-def _fresh_state(n):
-    return q.QueueingState(queue_lengths=[0] * n, busy_until=[0.0] * n, events=[])
-
-
-def _queueing_case(seed, n, m, rate_per_server):
-    rng = np.random.default_rng(seed)
-    times = np.cumsum(rng.exponential(1.0 / (rate_per_server * n), size=m))
-    services = rng.exponential(1.0, size=m)
-    uniforms = rng.random(m)
-    pairs = np.empty((m, 2), dtype=np.int64)
-    for i in range(m):
-        pairs[i] = rng.choice(n, size=2, replace=False)
-    nodes, counts, indptr = _uniform_csr(pairs)
-    return times, services, uniforms, nodes, counts, indptr
-
-
-class TestQueueingWindow:
-    @pytest.mark.parametrize("rate", [0.2, 0.95, 2.0])
-    def test_window_identical_to_scalar(self, rate):
-        times, services, uniforms, nodes, counts, indptr = _queueing_case(
-            12, 48, 600, rate
-        )
-        sa, sb = _fresh_state(48), _fresh_state(48)
-        expected = q.commit_window(sa, times, services, uniforms, nodes, counts, indptr)
-        actual = bc.commit_window(sb, times, services, uniforms, nodes, counts, indptr)
-        np.testing.assert_array_equal(actual, expected)
-        assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
-
-    def test_multi_window_state_carries(self):
-        n = 64
-        sa, sb = _fresh_state(n), _fresh_state(n)
-        t0 = 0.0
-        rng = np.random.default_rng(13)
-        for w in range(5):
-            m = int(rng.integers(1, 250))
-            times = t0 + np.cumsum(rng.exponential(0.01, size=m))
-            t0 = float(times[-1])
-            services = rng.exponential(1.0, size=m)
-            uniforms = rng.random(m)
-            pairs = np.empty((m, 2), dtype=np.int64)
-            for i in range(m):
-                pairs[i] = rng.choice(n, size=2, replace=False)
-            nodes, counts, indptr = _uniform_csr(pairs)
-            expected = q.commit_window(sa, times, services, uniforms, nodes, counts, indptr)
-            actual = bc.commit_window(sb, times, services, uniforms, nodes, counts, indptr)
-            np.testing.assert_array_equal(actual, expected, err_msg=f"window {w}")
-            q.drain_departures(sa, t0)
-            q.drain_departures(sb, t0)
-            assert dataclasses.asdict(sa) == dataclasses.asdict(sb), f"window {w}"
-
-    def test_adversarial_one_pair_arrivals(self):
-        # Every arrival contends on the same pair: speculation commits only
-        # prefixes of length ~1, so the low-progress fallback must hand the
-        # remainder to the scalar event loop — bit-identically.
-        m, n = 300, 8
-        rng = np.random.default_rng(14)
-        times = np.cumsum(rng.exponential(0.001, size=m))
-        services = np.full(m, 1e9)  # nothing departs inside the window
-        uniforms = rng.random(m)
-        nodes, counts, indptr = _uniform_csr([[2, 5]] * m)
-        sa, sb = _fresh_state(n), _fresh_state(n)
-        expected = q.commit_window(sa, times, services, uniforms, nodes, counts, indptr)
-        actual = bc.commit_window(sb, times, services, uniforms, nodes, counts, indptr)
-        np.testing.assert_array_equal(actual, expected)
-        assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
-        assert bc.get_last_stats().fallbacks == 1
-
-    def test_empty_window(self):
-        sa, sb = _fresh_state(4), _fresh_state(4)
-        empty_f = np.empty(0)
-        empty_i = np.empty(0, dtype=np.int64)
-        expected = q.commit_window(
-            sa, empty_f, empty_f, empty_f, empty_i, empty_i, np.zeros(1, dtype=np.int64)
-        )
-        actual = bc.commit_window(
-            sb, empty_f, empty_f, empty_f, empty_i, empty_i, np.zeros(1, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(actual, expected)
-        assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
-
-
 # ------------------------------------------------------------- load vector
 class TestLoadVector:
     def test_authority_flips_lazily(self):
@@ -446,26 +341,88 @@ class TestLoadVector:
         assert lv.as_array().dtype == np.int64
 
 
+# ------------------------------------------------------------ window routing
+STATIC_BENCH = {
+    # perfbench's static shape (n = 65536, K = 128, M = 8), unconstrained so
+    # the group-index build stays cheap: the routing looks at n and m only.
+    "num_nodes": 65536,
+    "num_files": 128,
+    "cache_size": 8,
+    "topology": "torus",
+    "popularity": "zipf",
+    "popularity_params": {"gamma": 0.8},
+    "placement": "proportional",
+    "strategy": "proximity_two_choice",
+    "strategy_params": {"num_choices": 2},
+}
+SERVICE = {
+    # The dispatch service's shape: n = 100, radius 3, 1-2 request windows.
+    "num_nodes": 100,
+    "num_files": 40,
+    "cache_size": 4,
+    "topology": "torus",
+    "placement": "proportional",
+    "strategy": "proximity_two_choice",
+    "strategy_params": {"num_choices": 2, "radius": 3.0},
+}
+
+
+def _requests(session, size, seed):
+    rng = np.random.default_rng(seed)
+    n = session.topology.n
+    cached = np.setdiff1d(
+        np.arange(session.library.num_files), session.cache.uncached_files()
+    )
+    return rng.integers(0, n, size=size), rng.choice(cached, size=size)
+
+
+class TestWindowRouting:
+    """The ``kernel`` engine picks its commit from the window it serves."""
+
+    def test_thresholds_match_committed_sweep(self):
+        path = Path(__file__).parents[1] / "benchmarks/results/commit_crossover.json"
+        record = json.loads(path.read_text())
+        assert engine.SPECULATE_MIN_NODES == record["SPECULATE_MIN_NODES"]
+        assert engine.SPECULATE_MIN_WINDOW == record["SPECULATE_MIN_WINDOW"]
+
+    @pytest.mark.parametrize("size", [16384, 65536])
+    def test_static_bench_windows_speculate(self, size):
+        session = open_session(STATIC_BENCH, seed=1, assignment_engine="kernel")
+        origins, files = _requests(session, size, seed=size)
+        before = bc.get_last_stats()
+        session.dispatch_batch(origins, files)
+        stats = bc.get_last_stats()
+        assert stats is not before
+        assert stats.committed_vectorised + stats.committed_scalar == size
+        assert stats.rounds > 0 and stats.fallbacks == 0
+
+    def test_service_windows_stay_scalar(self):
+        session = open_session(SERVICE, seed=1, assignment_engine="kernel")
+        before = bc.get_last_stats()
+        for step in range(20):
+            origins, files = _requests(session, 1 + step % 2, seed=step)
+            session.dispatch_batch(origins, files)
+        assert bc.get_last_stats() is before
+
+
 # -------------------------------------------------------------- registry/CLI
 class TestEngineRegistration:
-    @pytest.mark.parametrize("family", ["assignment", "queueing"])
-    def test_registered_with_priority_between_kernel_and_numba(self, family):
-        engine = resolve_engine("batch", family)
-        assert engine.available
-        payload = {e["name"]: e for e in engines_payload(family)}
-        assert payload["kernel"]["priority"] < payload["batch"]["priority"] < payload["numba"]["priority"]
-        assert payload["batch"]["supports_streaming"] is True
-
-    def test_cli_engines_lists_batch(self, capsys):
-        assert main(["engines"]) == 0
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cli_engines_lists_the_three_engines(self, capsys, fmt):
+        assert main(["engines"] + (["--json"] if fmt == "json" else [])) == 0
         out = capsys.readouterr().out
-        assert "batch" in out
-
-    def test_cli_engines_json_lists_batch(self, capsys):
-        assert main(["engines", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        rows = {(e["family"], e["name"]): e for e in payload}
-        for family in ("assignment", "queueing"):
-            row = rows[(family, "batch")]
-            assert row["available"] is True
-            assert row["priority"] == 15
+        if fmt == "json":
+            listed = {(e["family"], e["name"]) for e in json.loads(out)}
+        else:
+            listed = set()
+            for block in out.split("== ")[1:]:
+                family = block.split(" engines ==", 1)[0]
+                for line in block.splitlines()[3:]:
+                    if "|" in line:
+                        listed.add((family, line.split("|", 1)[0].strip()))
+        expected = {
+            (family, name)
+            for family in ("assignment", "queueing")
+            for name in ("reference", "kernel", "numba")
+        }
+        assert listed == expected

@@ -13,12 +13,16 @@ reference engine is authoritative.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError, StrategyError
+from repro.kernels import batch_commit
+from repro.kernels.engine import SPECULATE_MIN_NODES, SPECULATE_MIN_WINDOW
 from repro.placement.cache import CacheState
 from repro.placement.proportional import ProportionalPlacement
 from repro.simulation.config import SimulationConfig
@@ -212,6 +216,23 @@ class TestEdgeCases:
         for engine in ENGINES:
             with pytest.raises(NoReplicaError):
                 strategy_cls(engine=engine).assign(torus, cache, requests, seed=0)
+
+    def test_large_window_speculates_identically(self):
+        # A network and a window past the kernel engine's routing thresholds:
+        # its sampled d-choice commits take the speculative rounds, which
+        # must stay bit-identical to the reference engine.
+        side = math.isqrt(SPECULATE_MIN_NODES - 1) + 1
+        torus = Torus2D(side * side)
+        cache, requests = _system(
+            torus, num_files=64, cache_size=4, num_requests=2 * SPECULATE_MIN_WINDOW
+        )
+        for strategy_cls, kwargs in [
+            (ProximityTwoChoiceStrategy, {"radius": 6}),
+            (ThresholdHybridStrategy, {"radius": 6, "imbalance_threshold": 1.0}),
+        ]:
+            before = batch_commit.get_last_stats()
+            _assert_identical(strategy_cls, torus, cache, requests, seed=8, **kwargs)
+            assert batch_commit.get_last_stats() is not before, strategy_cls.__name__
 
     def test_empty_batch(self):
         torus = Torus2D(25)

@@ -10,11 +10,21 @@ bad window decides.
 
 The same holds for the micro-batch entry points the dispatch service drives:
 ``dispatch_batch`` skips the uncached policy, so the uncached file reaches
-the engine itself, on static sessions and on queueing sessions served by a
-streaming engine.
+the engine itself, on static sessions and on queueing sessions of every
+engine.
+
+Each streaming engine runs on a small shape (25 servers, 12-request
+windows).  On static sessions the ``kernel`` engine also runs on a large one
+(``-large`` ids): a network and windows at the routing thresholds of
+:mod:`repro.kernels.engine`, where its sampled d-choice commits take the
+speculative rounds instead of the scalar loop, so both commit paths stay
+pinned.  The queueing event loop has one commit path, so it runs small only.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,6 +32,7 @@ import pytest
 from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError
+from repro.kernels.engine import SPECULATE_MIN_NODES, SPECULATE_MIN_WINDOW
 from repro.placement.proportional import ProportionalPlacement
 from repro.session import CacheNetworkSession
 from repro.session.queueing import open_queueing_session
@@ -35,8 +46,25 @@ from repro.workload.arrivals import PoissonArrivalProcess
 from repro.workload.request import RequestBatch
 
 SEED = 611
-NUM_NODES = 25
-NUM_FILES = 60  # n * M = 50 < K: some files are cached nowhere
+
+
+class Shape(NamedTuple):
+    """Network and window size of one case; ``n * M < K`` leaves files uncached."""
+
+    nodes: int
+    files: int
+    size: int
+
+
+SMALL = Shape(25, 60, 12)
+#: The smallest square torus at the node threshold, windows at the window one.
+_SIDE = math.isqrt(SPECULATE_MIN_NODES - 1) + 1
+LARGE = Shape(_SIDE * _SIDE, 3 * _SIDE * _SIDE, SPECULATE_MIN_WINDOW)
+
+
+def _small(engines):
+    return [pytest.param(name, SMALL, id=name) for name in engines]
+
 
 STRATEGIES = {
     "two_choice_constrained": lambda: ProximityTwoChoiceStrategy(radius=2),
@@ -47,22 +75,21 @@ STRATEGIES = {
     "nearest_replica": lambda: NearestReplicaStrategy(),
 }
 
-#: Every engine that can serve windows (the reference engine is one-shot).
-ENGINES = [name for name in available_engines("assignment") if name != "reference"]
+#: Every engine that can serve windows (the reference engine is one-shot),
+#: plus ``kernel`` on the large shape.
+ENGINES = _small(
+    [name for name in available_engines("assignment") if name != "reference"]
+) + [pytest.param("kernel", LARGE, id="kernel-large")]
 
-#: Queueing engines whose window precompute resolves every candidate set
-#: before the event loop runs.  The reference engine looks replicas up per
-#: arrival inside the loop, after it has advanced the clock and drained
-#: departures, so a bad arrival there leaves those changes behind.
-QUEUEING_ENGINES = [
-    name for name in available_engines("queueing") if name != "reference"
-]
+#: Every queueing engine: each checks the window's files before it drains a
+#: departure, moves the clock or draws from a stream.
+QUEUEING_ENGINES = _small(available_engines("queueing"))
 
 
-def _session(make_strategy, engine):
+def _session(make_strategy, engine, shape):
     return CacheNetworkSession(
-        topology=Torus2D(NUM_NODES),
-        library=FileLibrary(NUM_FILES),
+        topology=Torus2D(shape.nodes),
+        library=FileLibrary(shape.files),
         placement=ProportionalPlacement(2),
         strategy=make_strategy().with_engine(engine),
         seed=SEED,
@@ -70,21 +97,24 @@ def _session(make_strategy, engine):
     )
 
 
-def _window(origins, files):
+def _window(session, origins, files):
     return RequestBatch(
         origins=np.asarray(origins, dtype=np.int64),
         files=np.asarray(files, dtype=np.int64),
-        num_nodes=NUM_NODES,
-        num_files=NUM_FILES,
+        num_nodes=session.topology.n,
+        num_files=session.library.num_files,
     )
 
 
 def _good_windows(session, count, size, seed):
     """``count`` windows of cached files only, drawn from a private stream."""
-    cached = np.setdiff1d(np.arange(NUM_FILES), session.cache.uncached_files())
+    n = session.topology.n
+    cached = np.setdiff1d(
+        np.arange(session.library.num_files), session.cache.uncached_files()
+    )
     rng = np.random.default_rng(seed)
     return [
-        _window(rng.integers(0, NUM_NODES, size), rng.choice(cached, size))
+        _window(session, rng.integers(0, n, size), rng.choice(cached, size))
         for _ in range(count)
     ]
 
@@ -95,7 +125,7 @@ def _bad_window(session, good):
     assert uncached.size > 0
     files = good.files.copy()
     files[files.size // 2] = uncached[0]
-    return _window(good.origins, files)
+    return _window(session, good.origins, files)
 
 
 def _assert_same_decisions(a, b):
@@ -104,13 +134,13 @@ def _assert_same_decisions(a, b):
     np.testing.assert_array_equal(a.fallback_mask, b.fallback_mask)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, shape", ENGINES)
 @pytest.mark.parametrize("strategy", STRATEGIES.keys())
 @pytest.mark.parametrize("served_before", [0, 2], ids=["first-window", "mid-stream"])
-def test_failed_window_commits_nothing(strategy, engine, served_before):
-    session = _session(STRATEGIES[strategy], engine)
-    clean = _session(STRATEGIES[strategy], engine)
-    windows = _good_windows(session, served_before + 2, size=12, seed=served_before)
+def test_failed_window_commits_nothing(strategy, engine, shape, served_before):
+    session = _session(STRATEGIES[strategy], engine, shape)
+    clean = _session(STRATEGIES[strategy], engine, shape)
+    windows = _good_windows(session, served_before + 2, shape.size, seed=served_before)
     for window in windows[:served_before]:
         _assert_same_decisions(session.serve(window).assignment, clean.serve(window).assignment)
 
@@ -128,13 +158,13 @@ def test_failed_window_commits_nothing(strategy, engine, served_before):
     assert session.state_digest() == clean.state_digest()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, shape", ENGINES)
 @pytest.mark.parametrize("strategy", STRATEGIES.keys())
 @pytest.mark.parametrize("served_before", [0, 2], ids=["first-window", "mid-stream"])
-def test_failed_dispatch_batch_commits_nothing(strategy, engine, served_before):
-    session = _session(STRATEGIES[strategy], engine)
-    clean = _session(STRATEGIES[strategy], engine)
-    windows = _good_windows(session, served_before + 2, size=12, seed=served_before)
+def test_failed_dispatch_batch_commits_nothing(strategy, engine, shape, served_before):
+    session = _session(STRATEGIES[strategy], engine, shape)
+    clean = _session(STRATEGIES[strategy], engine, shape)
+    windows = _good_windows(session, served_before + 2, shape.size, seed=served_before)
     for window in windows[:served_before]:
         got = session.dispatch_batch(window.origins, window.files)
         _assert_same_decisions(got, clean.dispatch_batch(window.origins, window.files))
@@ -153,10 +183,10 @@ def test_failed_dispatch_batch_commits_nothing(strategy, engine, served_before):
     assert session.state_digest() == clean.state_digest()
 
 
-def _queueing_session(engine):
+def _queueing_session(engine, shape):
     return open_queueing_session(
-        Torus2D(NUM_NODES),
-        FileLibrary(NUM_FILES),
+        Torus2D(shape.nodes),
+        FileLibrary(shape.files),
         ProportionalPlacement(2),
         PoissonArrivalProcess(rate_per_node=0.8),
         seed=SEED,
@@ -166,22 +196,22 @@ def _queueing_session(engine):
     )
 
 
-@pytest.mark.parametrize("engine", QUEUEING_ENGINES)
+@pytest.mark.parametrize("engine, shape", QUEUEING_ENGINES)
 @pytest.mark.parametrize("position", ["head", "middle", "tail"])
 @pytest.mark.parametrize("served_before", [0, 2], ids=["first-window", "mid-stream"])
-def test_failed_queueing_dispatch_commits_nothing(engine, position, served_before):
-    session = _queueing_session(engine)
-    clean = _queueing_session(engine)
+def test_failed_queueing_dispatch_commits_nothing(engine, shape, position, served_before):
+    session = _queueing_session(engine, shape)
+    clean = _queueing_session(engine, shape)
     uncached = session.cache.uncached_files()
     assert uncached.size > 0
-    cached = np.setdiff1d(np.arange(NUM_FILES), uncached)
+    cached = np.setdiff1d(np.arange(shape.files), uncached)
     rng = np.random.default_rng(served_before)
-    size = 12
+    size = shape.size
     batches = []
     for index in range(served_before + 2):
         times = index + 0.05 * np.arange(1, size + 1)
         batches.append(
-            (rng.integers(0, NUM_NODES, size), rng.choice(cached, size), times)
+            (rng.integers(0, shape.nodes, size), rng.choice(cached, size), times)
         )
 
     def dispatch(target, batch):

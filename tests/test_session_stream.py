@@ -11,11 +11,14 @@ assignment process.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.catalog.library import FileLibrary
 from repro.exceptions import ConfigurationError, StrategyError
+from repro.kernels.engine import SPECULATE_MIN_NODES, SPECULATE_MIN_WINDOW
 from repro.placement.proportional import ProportionalPlacement
 from repro.rng import spawn_seeds
 from repro.session import ArtifactCache, CacheNetworkSession, open_session
@@ -51,16 +54,24 @@ PARTITIONS = {
 }
 
 
-def _components():
-    topology = Torus2D(49)
+#: Small -> large -> small windows on a network at the kernel engine's
+#: routing thresholds: the middle window commits through the speculative
+#: rounds (the loads' array view), the outer ones through the scalar loop
+#: (the list view), so the session's LoadVector flips views twice.
+FLIP_NODES = (math.isqrt(SPECULATE_MIN_NODES - 1) + 1) ** 2
+FLIP_PARTITION = [7, SPECULATE_MIN_WINDOW, 13]
+
+
+def _components(num_nodes=49, num_requests=NUM_REQUESTS):
+    topology = Torus2D(num_nodes)
     library = FileLibrary(20)
     placement = ProportionalPlacement(3)
-    workload = UniformOriginWorkload(NUM_REQUESTS)
+    workload = UniformOriginWorkload(num_requests)
     return topology, library, placement, workload
 
 
-def _session(strategy, artifacts=None):
-    topology, library, placement, workload = _components()
+def _session(strategy, artifacts=None, **shape):
+    topology, library, placement, workload = _components(**shape)
     return CacheNetworkSession(
         topology=topology,
         library=library,
@@ -72,9 +83,9 @@ def _session(strategy, artifacts=None):
     )
 
 
-def _one_shot(strategy):
+def _one_shot(strategy, **shape):
     """The one-shot kernel result for the exact randomness a session derives."""
-    topology, library, placement, workload = _components()
+    topology, library, placement, workload = _components(**shape)
     placement_seed, workload_seed, strategy_seed = spawn_seeds(SEED, 3)
     cache = placement.place(topology, library, np.random.default_rng(placement_seed))
     requests = workload.generate(topology, library, np.random.default_rng(workload_seed))
@@ -126,6 +137,20 @@ class TestWindowPartitionDifferential:
         )
         assert snapshot.fallback_rate == pytest.approx(one_shot.fallback_rate())
         np.testing.assert_array_equal(snapshot.loads, one_shot.loads())
+
+
+@pytest.mark.parametrize("strategy_key", STRATEGY_FACTORIES.keys())
+def test_small_large_small_partition_bit_identical(strategy_key):
+    factory = STRATEGY_FACTORIES[strategy_key]
+    shape = {"num_nodes": FLIP_NODES, "num_requests": sum(FLIP_PARTITION)}
+    requests, one_shot = _one_shot(factory(), **shape)
+    session = _session(factory(), **shape)
+    served = list(
+        session.serve_stream(_split(requests, FLIP_PARTITION), resolve_uncached=False)
+    )
+    merged = AssignmentResult.concatenate([w.assignment for w in served])
+    _assert_results_identical(merged, one_shot)
+    np.testing.assert_array_equal(session.snapshot().loads, one_shot.loads())
 
 
 class TestSessionStateMachine:
