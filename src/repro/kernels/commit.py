@@ -153,7 +153,8 @@ def _borrow_loads(num_nodes, initial_loads):
 
 
 def _run(core, m, num_nodes, initial_loads, *args) -> IntArray:
-    """Run ``core`` over lists; ``args`` are the arrays/scalars before the loads."""
+    """Run ``core`` over lists; ``args`` are the arrays, lists or scalars
+    before the loads (arrays are converted, lists passed through)."""
     if m == 0:
         return np.empty(0, dtype=np.int64)
     loads, writeback = _borrow_loads(num_nodes, initial_loads)
@@ -183,7 +184,7 @@ def commit_least_loaded_of_sample(
     """
     return _run(
         _least_loaded_of_sample_core,
-        int(sample_counts.size),
+        len(sample_counts),
         num_nodes,
         initial_loads,
         sample_nodes,
@@ -210,7 +211,7 @@ def commit_least_loaded_scan(
     """
     return _run(
         _least_loaded_scan_core,
-        int(request_starts.size),
+        len(request_starts),
         num_nodes,
         initial_loads,
         cand_nodes,
@@ -240,7 +241,7 @@ def commit_threshold_hybrid(
     """
     return _run(
         _threshold_hybrid_core,
-        int(sample_indptr.size) - 1,
+        len(sample_indptr) - 1,
         num_nodes,
         initial_loads,
         sample_nodes,

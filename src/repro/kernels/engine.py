@@ -17,6 +17,24 @@ Every entry point here follows the same shape:
    :meth:`~repro.topology.base.Topology.distances_between` call *after* the
    commit loop instead of one topology query per request.
 
+The three d-choice entry points (Strategy II, the threshold hybrid and the
+omniscient scan) run a window of fewer than ``VECTORISE_MIN_WINDOW`` requests
+per request instead, since for one or two requests the fixed cost of steps 1,
+2 and 4 is many times the commit itself:
+
+1. each request's candidate row comes as Python lists from the
+   :class:`~repro.kernels.group_index.GroupStore` (its scalar ``get`` /
+   ``put`` protocol, in the key order of the batch calls) or, on a miss, from
+   the file's replicas and one
+   :meth:`~repro.topology.base.Topology.distances_from` row — the same row
+   the batched build makes.  Every row is built (and every replica checked)
+   before anything is drawn, committed or stored;
+2. the streams are drawn in the same two calls (``rng_sample.random(d · k)``
+   for the ``k`` requests with more than ``d`` candidates, ``rng_tie.random
+   (m)``) and mapped with the same shifted-uniform rule;
+3. the commit is the scalar loop of :mod:`repro.kernels.commit` over the
+   lists, the load vector's list view included.
+
 The scalar implementations of the same contract live in
 :mod:`repro.kernels.reference`; for any seed the two produce bit-identical
 :class:`~repro.strategies.base.AssignmentResult` arrays.
@@ -46,18 +64,22 @@ to the one-shot call — the property enforced by ``tests/test_session_stream.py
 
 from __future__ import annotations
 
+import math
+from operator import itemgetter
+
 import numpy as np
 
 from repro.exceptions import NoReplicaError
 from repro.kernels import batch_commit, commit as scalar_commit
 from repro.kernels.group_index import (
     GroupStore,
+    _resolve_fallback_row,
     build_group_index,
     csr_scatter_destinations,
     group_requests,
     iter_file_segments,
 )
-from repro.kernels.sampling import draw_sample_positions
+from repro.kernels.sampling import draw_sample_positions, shifted_uniform_positions
 from repro.placement.cache import CacheState
 from repro.rng import SeedLike, spawn_generators
 from repro.strategies.base import AssignmentResult, FallbackPolicy
@@ -88,6 +110,13 @@ __all__ = [
 SPECULATE_MIN_NODES = 4096
 SPECULATE_MIN_WINDOW = 512
 
+#: Window routing of the d-choice precompute.  A window of fewer requests is
+#: served per request over Python lists (the small-window path in the module
+#: docstring); larger ones build the numpy group index.  Bit-identical either
+#: way; the value is the crossover the ``window`` family of the same sweep
+#: measures (recorded in the same file).
+VECTORISE_MIN_WINDOW = 32
+
 
 def _commit_module(num_nodes: int, window: int):
     """The module whose commit serves this window: speculative or scalar."""
@@ -106,6 +135,11 @@ def _empty_result(n: int, strategy_name: str) -> AssignmentResult:
     )
 
 
+def _is_unconstrained(topology: Topology, radius: float) -> bool:
+    """Whether ``radius`` reaches every server (no proximity constraint)."""
+    return math.isinf(radius) or radius >= topology.diameter
+
+
 def _gather_sample(
     index, positions: IntArray, sample_counts: IntArray
 ) -> tuple[IntArray, IntArray | None]:
@@ -117,39 +151,284 @@ def _gather_sample(
     return nodes, dists
 
 
-def two_choice_kernel(
+# ------------------------------------------------------- small-window path
+def _build_row(
+    topology: Topology,
+    cache: CacheState,
+    origin: int,
+    file_id: int,
+    *,
+    radius: float,
+    fallback: FallbackPolicy,
+    unconstrained: bool,
+) -> tuple[IntArray, IntArray, bool]:
+    """One group's ``(nodes, dists, fallback)`` row, as the batched build makes it."""
+    replicas = cache.file_nodes(file_id)
+    if replicas.size == 0:
+        raise NoReplicaError(file_id)
+    dist_row = np.asarray(topology.distances_from(origin, replicas), dtype=np.int64)
+    if unconstrained:
+        return replicas, dist_row, False
+    in_ball = dist_row <= radius
+    if in_ball.any():
+        return replicas[in_ball], dist_row[in_ball], False
+    nodes, dists = _resolve_fallback_row(
+        fallback, radius, origin, file_id, replicas, dist_row
+    )
+    return nodes, dists, True
+
+
+def _scalar_rows(
     topology: Topology,
     cache: CacheState,
     requests: RequestBatch,
-    seed: SeedLike,
     *,
     radius: float,
-    num_choices: int,
     fallback: FallbackPolicy,
+    need_dists: bool,
+    store: GroupStore | None,
+) -> list[tuple[list[int], list[int] | None, bool]]:
+    """Every request's candidate row as lists: ``(nodes, dists, fallback)``.
+
+    The small-window counterpart of :func:`build_group_index`, with the same
+    rows and the same store traffic: distinct keys are probed in ascending
+    key order (as ``get_many`` does; a cold store is not probed), misses are
+    built file by file (as ``_build_rows_csr`` does, so the same error
+    surfaces first) and only then stored, in ascending key order (as
+    ``put_many`` does).  A window that raises stores nothing.  Unconstrained
+    rows without distances alias the file's replica list and bypass the
+    store, as the batched shared mode does.
+    """
+    num_files = int(requests.num_files)
+    keys = [
+        origin * num_files + file_id
+        for origin, file_id in zip(requests.origins.tolist(), requests.files.tolist())
+    ]
+    unique = sorted(set(keys))
+    unconstrained = _is_unconstrained(topology, radius)
+    rows: dict[int, tuple[list[int], list[int] | None, bool]] = {}
+    if unconstrained and not need_dists:
+        for key in unique:
+            replicas = cache.file_nodes(key % num_files)
+            if replicas.size == 0:
+                raise NoReplicaError(key % num_files)
+            rows[key] = (replicas.tolist(), None, False)
+        return [rows[key] for key in keys]
+    probe = store is not None and len(store) > 0
+    missing = []
+    for key in unique:
+        hit = store.get(key) if probe else None
+        if hit is None:
+            missing.append(key)
+        else:
+            rows[key] = (hit[0].tolist(), hit[1].tolist(), hit[2])
+    built = []
+    for key in sorted(missing, key=lambda k: (k % num_files, k)):
+        origin, file_id = divmod(key, num_files)
+        row = _build_row(
+            topology,
+            cache,
+            origin,
+            file_id,
+            radius=radius,
+            fallback=fallback,
+            unconstrained=unconstrained,
+        )
+        built.append((key, row))
+    built.sort(key=itemgetter(0))
+    for key, (nodes, dists, flag) in built:
+        if store is not None:
+            store.put(key, nodes, dists, flag)
+        rows[key] = (nodes.tolist(), dists.tolist(), flag)
+    return [rows[key] for key in keys]
+
+
+def _scalar_sample(rows, num_choices: int, rng_sample: np.random.Generator):
+    """Flat sampled ``(nodes, dists, counts, indptr)`` lists of every request.
+
+    One ``rng_sample.random`` call of ``d`` doubles per request with more than
+    ``d`` candidates, in request order — exactly what
+    :func:`~repro.kernels.sampling.draw_sample_positions` consumes; ``dists``
+    is ``None`` when the rows carry none.
+    """
+    d = int(num_choices)
+    drawing = sum(len(row[0]) > d for row in rows)
+    uniforms = rng_sample.random(drawing * d).tolist() if drawing else []
+    with_dists = rows[0][1] is not None
+    nodes: list[int] = []
+    dists: list[int] = []
+    counts: list[int] = []
+    indptr = [0]
+    used = 0
+    for row_nodes, row_dists, _ in rows:
+        count = len(row_nodes)
+        if count > d:
+            positions = shifted_uniform_positions(count, uniforms[used : used + d])
+            used += d
+        else:
+            positions = range(count)
+        for position in positions:
+            nodes.append(row_nodes[position])
+            if with_dists:
+                dists.append(row_dists[position])
+        counts.append(len(positions))
+        indptr.append(len(nodes))
+    return nodes, dists if with_dists else None, counts, indptr
+
+
+def _scalar_result(
+    topology: Topology,
+    requests: RequestBatch,
+    rows,
+    nodes: list[int],
+    dists: list[int] | None,
+    winners: IntArray,
     strategy_name: str,
-    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
-    loads: IntArray | None = None,
-    store: GroupStore | None = None,
+) -> AssignmentResult:
+    """The window's result from the commit's flat winner indices."""
+    picks = winners.tolist()
+    servers = np.array([nodes[pick] for pick in picks], dtype=np.int64)
+    if dists is not None:
+        distances = np.array([dists[pick] for pick in picks], dtype=np.int64)
+    else:
+        distances = topology.distances_between(requests.origins, servers)
+    return AssignmentResult(
+        servers=servers,
+        distances=distances,
+        num_nodes=topology.n,
+        strategy_name=strategy_name,
+        fallback_mask=np.array([row[2] for row in rows], dtype=bool),
+    )
+
+
+def _two_choice_scalar(
+    topology,
+    cache,
+    requests,
+    seed,
+    *,
+    radius,
+    num_choices,
+    fallback,
+    strategy_name,
+    streams=None,
+    loads=None,
+    store=None,
+) -> AssignmentResult:
+    """:func:`two_choice_kernel` per request (a non-empty small window)."""
+    rows = _scalar_rows(
+        topology,
+        cache,
+        requests,
+        radius=radius,
+        fallback=fallback,
+        need_dists=not _is_unconstrained(topology, radius),
+        store=store,
+    )
+    rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
+    nodes, dists, counts, indptr = _scalar_sample(rows, num_choices, rng_sample)
+    tie_uniforms = rng_tie.random(len(rows))
+    winners = scalar_commit.commit_least_loaded_of_sample(
+        topology.n, nodes, counts, indptr, tie_uniforms, loads
+    )
+    return _scalar_result(topology, requests, rows, nodes, dists, winners, strategy_name)
+
+
+def _threshold_hybrid_scalar(
+    topology,
+    cache,
+    requests,
+    seed,
+    *,
+    radius,
+    num_choices,
+    threshold,
+    fallback,
+    strategy_name,
+    streams=None,
+    loads=None,
+    store=None,
+) -> AssignmentResult:
+    """:func:`threshold_hybrid_kernel` per request (a non-empty small window)."""
+    rows = _scalar_rows(
+        topology,
+        cache,
+        requests,
+        radius=radius,
+        fallback=fallback,
+        need_dists=True,
+        store=store,
+    )
+    rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
+    nodes, dists, _, indptr = _scalar_sample(rows, num_choices, rng_sample)
+    tie_uniforms = rng_tie.random(len(rows))
+    winners = scalar_commit.commit_threshold_hybrid(
+        topology.n, nodes, dists, indptr, threshold, tie_uniforms, loads
+    )
+    return _scalar_result(topology, requests, rows, nodes, dists, winners, strategy_name)
+
+
+def _least_loaded_scalar(
+    topology,
+    cache,
+    requests,
+    seed,
+    *,
+    radius,
+    fallback,
+    strategy_name,
+    streams=None,
+    loads=None,
+    store=None,
+) -> AssignmentResult:
+    """:func:`least_loaded_kernel` per request (a non-empty small window)."""
+    rows = _scalar_rows(
+        topology,
+        cache,
+        requests,
+        radius=radius,
+        fallback=fallback,
+        need_dists=True,
+        store=store,
+    )
+    _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
+    tie_uniforms = rng_tie.random(len(rows))
+    nodes: list[int] = []
+    dists: list[int] = []
+    starts: list[int] = []
+    counts: list[int] = []
+    for row_nodes, row_dists, _ in rows:
+        starts.append(len(nodes))
+        counts.append(len(row_nodes))
+        nodes.extend(row_nodes)
+        dists.extend(row_dists)
+    winners = scalar_commit.commit_least_loaded_scan(
+        topology.n, nodes, dists, starts, counts, tie_uniforms, loads
+    )
+    return _scalar_result(topology, requests, rows, nodes, dists, winners, strategy_name)
+
+
+# --------------------------------------------------------- vectorised path
+def _two_choice_vectorised(
+    topology,
+    cache,
+    requests,
+    seed,
+    *,
+    radius,
+    num_choices,
+    fallback,
+    strategy_name,
+    streams=None,
+    loads=None,
+    store=None,
     commit=None,
     row_kernel=None,
 ) -> AssignmentResult:
-    """Batched Strategy II (proximity-aware ``d``-choice assignment).
-
-    The commit runs the scalar loop or the speculative rounds, whichever the
-    window's size calls for (see ``SPECULATE_MIN_WINDOW``).  ``commit``
-    overrides that choice with one implementation (same signature and
-    bit-identical semantics as
-    :func:`~repro.kernels.commit.commit_least_loaded_of_sample`) — the hook
-    compiled backends (:mod:`repro.backends.numba_backend`) plug into while
-    sharing all of this precompute.  ``row_kernel`` swaps the precompute's
-    per-chunk candidate-row pass the same way (see
-    :func:`~repro.kernels.group_index.build_group_index`).
-    """
+    """:func:`two_choice_kernel` over the numpy group index."""
     m = requests.num_requests
     n = topology.n
-    if m == 0:
-        return _empty_result(n, strategy_name)
-    unconstrained = bool(np.isinf(radius) or radius >= topology.diameter)
+    unconstrained = _is_unconstrained(topology, radius)
     index = build_group_index(
         topology,
         cache,
@@ -185,31 +464,22 @@ def two_choice_kernel(
     )
 
 
-def least_loaded_kernel(
-    topology: Topology,
-    cache: CacheState,
-    requests: RequestBatch,
-    seed: SeedLike,
+def _least_loaded_vectorised(
+    topology,
+    cache,
+    requests,
+    seed,
     *,
-    radius: float,
-    fallback: FallbackPolicy,
-    strategy_name: str,
-    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
-    loads: IntArray | None = None,
-    store: GroupStore | None = None,
-    commit=scalar_commit.commit_least_loaded_scan,
+    radius,
+    fallback,
+    strategy_name,
+    streams=None,
+    loads=None,
+    store=None,
+    commit=None,
     row_kernel=None,
 ) -> AssignmentResult:
-    """Batched omniscient baseline: least loaded replica in the ball.
-
-    Always commits through the scalar loop (its wide candidate sets collide
-    too often for the speculative rounds to pay); ``commit`` swaps the
-    commit-loop implementation (see :func:`two_choice_kernel`).
-    """
-    m = requests.num_requests
-    n = topology.n
-    if m == 0:
-        return _empty_result(n, strategy_name)
+    """:func:`least_loaded_kernel` over the numpy group index."""
     index = build_group_index(
         topology,
         cache,
@@ -221,9 +491,11 @@ def least_loaded_kernel(
         row_kernel=row_kernel,
     )
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
-    tie_uniforms = rng_tie.random(m)
+    tie_uniforms = rng_tie.random(requests.num_requests)
+    if commit is None:
+        commit = scalar_commit.commit_least_loaded_scan
     winners = commit(
-        n,
+        topology.n,
         index.nodes,
         index.dists,
         index.request_starts(),
@@ -234,38 +506,32 @@ def least_loaded_kernel(
     return AssignmentResult(
         servers=index.nodes[winners],
         distances=index.dists[winners],
-        num_nodes=n,
+        num_nodes=topology.n,
         strategy_name=strategy_name,
         fallback_mask=index.fallback[index.request_group],
     )
 
 
-def threshold_hybrid_kernel(
-    topology: Topology,
-    cache: CacheState,
-    requests: RequestBatch,
-    seed: SeedLike,
+def _threshold_hybrid_vectorised(
+    topology,
+    cache,
+    requests,
+    seed,
     *,
-    radius: float,
-    num_choices: int,
-    threshold: float,
-    fallback: FallbackPolicy,
-    strategy_name: str,
-    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
-    loads: IntArray | None = None,
-    store: GroupStore | None = None,
+    radius,
+    num_choices,
+    threshold,
+    fallback,
+    strategy_name,
+    streams=None,
+    loads=None,
+    store=None,
     commit=None,
     row_kernel=None,
 ) -> AssignmentResult:
-    """Batched threshold hybrid: closest sampled candidate within the slack.
-
-    ``commit`` swaps the commit-loop implementation (see
-    :func:`two_choice_kernel`).
-    """
+    """:func:`threshold_hybrid_kernel` over the numpy group index."""
     m = requests.num_requests
     n = topology.n
-    if m == 0:
-        return _empty_result(n, strategy_name)
     # The hybrid rule compares candidate distances, so they are materialised
     # even without a radius constraint.
     index = build_group_index(
@@ -298,6 +564,139 @@ def threshold_hybrid_kernel(
     )
 
 
+# ------------------------------------------------------------ entry points
+def _small_window(requests: RequestBatch, commit) -> bool:
+    """Whether a window takes the small-window path (never with a ``commit``)."""
+    return commit is None and requests.num_requests < VECTORISE_MIN_WINDOW
+
+
+def two_choice_kernel(
+    topology: Topology,
+    cache: CacheState,
+    requests: RequestBatch,
+    seed: SeedLike,
+    *,
+    radius: float,
+    num_choices: int,
+    fallback: FallbackPolicy,
+    strategy_name: str,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
+    commit=None,
+    row_kernel=None,
+) -> AssignmentResult:
+    """Batched Strategy II (proximity-aware ``d``-choice assignment).
+
+    A window below ``VECTORISE_MIN_WINDOW`` requests runs the small-window
+    path; a larger one commits through the scalar loop or the speculative
+    rounds, whichever its size calls for (see ``SPECULATE_MIN_WINDOW``).
+    ``commit`` overrides that choice with one implementation (same signature
+    and bit-identical semantics as
+    :func:`~repro.kernels.commit.commit_least_loaded_of_sample`) — the hook
+    compiled backends (:mod:`repro.backends.numba_backend`) plug into while
+    sharing all of this precompute; it always takes the vectorised path.
+    ``row_kernel`` swaps the precompute's per-chunk candidate-row pass the
+    same way (see :func:`~repro.kernels.group_index.build_group_index`).
+    """
+    if requests.num_requests == 0:
+        return _empty_result(topology.n, strategy_name)
+    params = dict(
+        radius=radius,
+        num_choices=num_choices,
+        fallback=fallback,
+        strategy_name=strategy_name,
+        streams=streams,
+        loads=loads,
+        store=store,
+    )
+    if _small_window(requests, commit):
+        return _two_choice_scalar(topology, cache, requests, seed, **params)
+    return _two_choice_vectorised(
+        topology, cache, requests, seed, commit=commit, row_kernel=row_kernel, **params
+    )
+
+
+def least_loaded_kernel(
+    topology: Topology,
+    cache: CacheState,
+    requests: RequestBatch,
+    seed: SeedLike,
+    *,
+    radius: float,
+    fallback: FallbackPolicy,
+    strategy_name: str,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
+    commit=None,
+    row_kernel=None,
+) -> AssignmentResult:
+    """Batched omniscient baseline: least loaded replica in the ball.
+
+    Always commits through the scalar loop (its wide candidate sets collide
+    too often for the speculative rounds to pay), per request below
+    ``VECTORISE_MIN_WINDOW``; ``commit`` swaps the commit-loop implementation
+    (see :func:`two_choice_kernel`).
+    """
+    if requests.num_requests == 0:
+        return _empty_result(topology.n, strategy_name)
+    params = dict(
+        radius=radius,
+        fallback=fallback,
+        strategy_name=strategy_name,
+        streams=streams,
+        loads=loads,
+        store=store,
+    )
+    if _small_window(requests, commit):
+        return _least_loaded_scalar(topology, cache, requests, seed, **params)
+    return _least_loaded_vectorised(
+        topology, cache, requests, seed, commit=commit, row_kernel=row_kernel, **params
+    )
+
+
+def threshold_hybrid_kernel(
+    topology: Topology,
+    cache: CacheState,
+    requests: RequestBatch,
+    seed: SeedLike,
+    *,
+    radius: float,
+    num_choices: int,
+    threshold: float,
+    fallback: FallbackPolicy,
+    strategy_name: str,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
+    commit=None,
+    row_kernel=None,
+) -> AssignmentResult:
+    """Batched threshold hybrid: closest sampled candidate within the slack.
+
+    Routed like :func:`two_choice_kernel`; ``commit`` swaps the commit-loop
+    implementation.
+    """
+    if requests.num_requests == 0:
+        return _empty_result(topology.n, strategy_name)
+    params = dict(
+        radius=radius,
+        num_choices=num_choices,
+        threshold=threshold,
+        fallback=fallback,
+        strategy_name=strategy_name,
+        streams=streams,
+        loads=loads,
+        store=store,
+    )
+    if _small_window(requests, commit):
+        return _threshold_hybrid_scalar(topology, cache, requests, seed, **params)
+    return _threshold_hybrid_vectorised(
+        topology, cache, requests, seed, commit=commit, row_kernel=row_kernel, **params
+    )
+
+
 def random_replica_kernel(
     topology: Topology,
     cache: CacheState,
@@ -317,7 +716,7 @@ def random_replica_kernel(
     n = topology.n
     if m == 0:
         return _empty_result(n, strategy_name)
-    unconstrained = bool(np.isinf(radius) or radius >= topology.diameter)
+    unconstrained = _is_unconstrained(topology, radius)
     index = build_group_index(
         topology,
         cache,

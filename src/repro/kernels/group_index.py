@@ -673,27 +673,32 @@ def build_group_index(
     if store is not None and len(store):
         keys = g_origins * np.int64(requests.num_files) + g_files
         hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = store.get_many(keys)
+        if hit_counts.size == num_groups:
+            # Every group hit: the hit rows already form the CSR in group order.
+            return GroupIndex(
+                origins=g_origins,
+                files=g_files,
+                starts=np.cumsum(hit_counts) - hit_counts,
+                counts=hit_counts,
+                nodes=hit_nodes,
+                dists=hit_dists,
+                fallback=hit_flags,
+                request_group=request_group,
+            )
         miss_gids = np.flatnonzero(~hit_mask)
-        if miss_gids.size:
-            miss_counts, miss_nodes, miss_dists, miss_flags = _build_rows_csr(
-                topology,
-                cache,
-                g_origins,
-                g_files,
-                miss_gids,
-                radius=radius,
-                fallback=fallback,
-                unconstrained=unconstrained,
-                chunk_size=chunk_size,
-                rows_fn=rows_fn,
-            )
-            store.put_many(
-                keys[miss_gids], miss_counts, miss_nodes, miss_dists, miss_flags
-            )
-        else:
-            miss_counts = np.empty(0, dtype=np.int64)
-            miss_nodes = miss_dists = miss_counts
-            miss_flags = np.zeros(0, dtype=bool)
+        miss_counts, miss_nodes, miss_dists, miss_flags = _build_rows_csr(
+            topology,
+            cache,
+            g_origins,
+            g_files,
+            miss_gids,
+            radius=radius,
+            fallback=fallback,
+            unconstrained=unconstrained,
+            chunk_size=chunk_size,
+            rows_fn=rows_fn,
+        )
+        store.put_many(keys[miss_gids], miss_counts, miss_nodes, miss_dists, miss_flags)
         counts = np.empty(num_groups, dtype=np.int64)
         counts[hit_mask] = hit_counts
         counts[miss_gids] = miss_counts

@@ -36,6 +36,7 @@ from repro.types import IntArray
 
 __all__ = [
     "draw_sample_positions",
+    "shifted_uniform_positions",
     "shifted_uniform_sample",
     "weighted_pick_positions",
     "weighted_sample_positions",
@@ -62,6 +63,24 @@ def shifted_uniform_sample(
             for t in range(j):
                 pick += pick >= taken[:, t]
         picks[:, j] = pick
+    return picks
+
+
+def shifted_uniform_positions(count: int, uniforms: list[float]) -> list[int]:
+    """One request's row of :func:`shifted_uniform_sample`, over plain floats.
+
+    ``count`` candidates (more than ``len(uniforms)``), one uniform per pick;
+    the same products and truncations as the batched pass, so the picks are
+    identical.  The small-window path of :mod:`repro.kernels.engine` maps its
+    draws with it.
+    """
+    picks: list[int] = []
+    for j, u in enumerate(uniforms):
+        pick = int(u * (count - j))
+        for taken in sorted(picks):
+            if pick >= taken:
+                pick += 1
+        picks.append(pick)
     return picks
 
 

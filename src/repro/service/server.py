@@ -397,10 +397,13 @@ class DispatchServer:
         fallbacks: np.ndarray
         try:
             if self._kind == "queueing":
-                times = self._assign_times(batch, total)
+                times, cursor = self._assign_times(batch, total)
                 servers, distances = self._session.dispatch_batch(
                     origins, files, times
                 )
+                # The clock moves only with a committed batch: a commit
+                # that raises leaves it (and so every checkpoint) unchanged.
+                self._virtual_time = cursor
                 fallbacks = np.zeros(total, dtype=bool)
             else:
                 result = self._session.dispatch_batch(origins, files)
@@ -459,12 +462,16 @@ class DispatchServer:
             offset += size
         self._metrics.record_flush(total)
 
-    def _assign_times(self, batch: list[PendingDispatch], total: int) -> np.ndarray:
-        """Arrival times for a queueing batch from the virtual clock.
+    def _assign_times(
+        self, batch: list[PendingDispatch], total: int
+    ) -> tuple[np.ndarray, float]:
+        """Arrival times for a queueing batch, and the clock after them.
 
         Untimed requests advance the clock by ``tick`` each; explicit client
         times are honoured but clamped to be non-decreasing across the
-        commit order (the simulated clock cannot run backwards).
+        commit order (the simulated clock cannot run backwards).  The
+        server's clock is left alone; :meth:`_flush` publishes the returned
+        cursor once the batch has committed.
         """
         times = np.empty(total, dtype=np.float64)
         cursor = self._virtual_time
@@ -477,8 +484,7 @@ class DispatchServer:
                     cursor += self._tick
                 times[position] = cursor
                 position += 1
-        self._virtual_time = cursor
-        return times
+        return times, cursor
 
     async def _refresh_loop(self) -> None:
         while True:

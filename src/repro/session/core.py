@@ -279,6 +279,10 @@ class CacheNetworkSession:
         self._cache = self._artifacts.placement(
             placement, topology, library, placement_seed
         )
+        # The strategy's store key and the store itself are constants of the
+        # session; the store is fetched on the first window that uses it.
+        self._store_signature = strategy.store_signature(topology)
+        self._store = None
         # Dual-view load vector: the scalar commit loops borrow its list
         # view, vectorised engines its array view, with at most one O(n)
         # conversion when the serving engine changes representation — tiny
@@ -445,22 +449,13 @@ class CacheNetworkSession:
                     self._uncached_policy,
                 )
             if self._streaming_engine:
-                signature = self._strategy.store_signature(self._topology)
-                use_store = signature is not None and (
-                    self._store_eligible or self._windows > 0
-                )
-                store = (
-                    self._artifacts.group_store(self._topology, self._cache, signature)
-                    if use_store
-                    else None
-                )
                 result = self._strategy.serve(
                     self._topology,
                     self._cache,
                     requests,
                     streams=self._streams,
                     loads=self._loads,
-                    store=store,
+                    store=self._window_store(),
                 )
             else:
                 # The scalar reference engine only knows one-shot assignment;
@@ -495,6 +490,18 @@ class CacheNetworkSession:
             remapped_requests=remapped,
             elapsed_seconds=timer.elapsed,
         )
+
+    def _window_store(self):
+        """The group store for the next window, or ``None`` to serve without."""
+        if self._store_signature is None or not (
+            self._store_eligible or self._windows > 0
+        ):
+            return None
+        if self._store is None:
+            self._store = self._artifacts.group_store(
+                self._topology, self._cache, self._store_signature
+            )
+        return self._store
 
     def dispatch_batch(self, origins, files) -> AssignmentResult:
         """Assign one externally-supplied micro-batch of requests.

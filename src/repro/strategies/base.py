@@ -216,6 +216,11 @@ class AssignmentStrategy(ABC):
     #: ``__init__`` via :meth:`_resolve_engine_spec`.
     _engine: str = "kernel"
 
+    #: ``(engine name, registered engine)`` of the last registry lookup, so
+    #: serving a window does not repeat it; keyed on the name, so a clone
+    #: from :meth:`with_engine` looks its own engine up.
+    _engine_cache: tuple = ("", None)
+
     @staticmethod
     def _resolve_engine_spec(engine) -> str:
         """Resolve an engine spec to its concrete registered name."""
@@ -226,10 +231,18 @@ class AssignmentStrategy(ABC):
         """Resolved execution-engine name (e.g. ``"kernel"``)."""
         return self._engine
 
+    def _registered_engine(self):
+        """This strategy's engine in the registry (looked up once per name)."""
+        name, engine = self._engine_cache
+        if name != self._engine:
+            engine = resolve_engine(self._engine, "assignment")
+            self._engine_cache = (self._engine, engine)
+        return engine
+
     @property
     def engine_supports_streaming(self) -> bool:
         """Whether this strategy's engine can serve incrementally."""
-        return resolve_engine(self._engine, "assignment").supports_streaming
+        return self._registered_engine().supports_streaming
 
     def with_engine(self, engine) -> "AssignmentStrategy":
         """Return a copy of this strategy running on ``engine``.
@@ -246,7 +259,7 @@ class AssignmentStrategy(ABC):
 
     def _engine_fn(self):
         """This strategy's operation on its resolved engine."""
-        return resolve_engine(self._engine, "assignment").commit_fns[self._engine_op]
+        return self._registered_engine().commit_fns[self._engine_op]
 
     @abstractmethod
     def assign(

@@ -23,6 +23,7 @@ import pytest
 
 from repro.service import DispatchClient, DispatchServer, recover_session
 from repro.service.journal import DispatchJournal, build_session_from_spec
+from repro.service.state import PendingDispatch
 from tests.test_service_journal import SPECS
 
 SEED = 1789
@@ -215,6 +216,75 @@ class TestInProcessRecovery:
             original.distance,
         )
         assert dispatched == 1  # the retry committed nothing new
+
+
+class TestFailedCommit:
+    """A queueing commit that raises moves nothing: clock, state or journal."""
+
+    def test_failed_queueing_batch_leaves_clock_and_state_unchanged(self, tmp_path):
+        spec = SPECS["queueing"]
+        origins, files = workload("queueing", size=6)
+
+        def pending(loop, start, stop):
+            return [
+                PendingDispatch(
+                    origins[i : i + 1], files[i : i + 1], None, loop.create_future()
+                )
+                for i in range(start, stop)
+            ]
+
+        async def serve(path, *, inject_failure):
+            journal = DispatchJournal.create(
+                path, kind="queueing", spec=spec, seed=spec["seed"], checkpoint_every=1
+            )
+            session = build_session_from_spec(spec)
+            server = DispatchServer(session, journal=journal, tick=0.001)
+            loop = asyncio.get_running_loop()
+            server._flush(pending(loop, 0, 2))
+            if inject_failure:
+                before = (
+                    server._handle_healthz()["served_until"],
+                    session.served_until,
+                    session.state_digest(),
+                )
+                commit = session.dispatch_batch
+
+                def raise_once(*args):
+                    session.dispatch_batch = commit
+                    raise RuntimeError("injected commit fault")
+
+                session.dispatch_batch = raise_once
+                failed = pending(loop, 2, 4)
+                server._flush(failed)
+                for item in failed:
+                    assert isinstance(item.future.exception(), RuntimeError)
+                assert (
+                    server._handle_healthz()["served_until"],
+                    session.served_until,
+                    session.state_digest(),
+                ) == before
+            later = pending(loop, 4, 6)
+            server._flush(later)
+            journal.close()
+            results = [item.future.result() for item in later]
+            return results, session.state_digest(), server._virtual_time
+
+        faulty, faulty_digest, faulty_time = run(
+            serve(tmp_path / "faulty", inject_failure=True)
+        )
+        clean, clean_digest, clean_time = run(
+            serve(tmp_path / "clean", inject_failure=False)
+        )
+        # The next batch sees the clock a server without the failure sees.
+        for got, expected in zip(faulty, clean):
+            np.testing.assert_array_equal(got[1], expected[1])
+            np.testing.assert_array_equal(got[4], expected[4])
+        assert faulty_digest == clean_digest
+        assert faulty_time == clean_time
+        recovered = recover_session(tmp_path / "faulty")
+        assert recovered.checkpoints_verified == 2
+        assert recovered.session.state_digest() == faulty_digest
+        assert recovered.virtual_time == faulty_time
 
 
 @pytest.mark.parametrize("kind", ["assignment", "queueing"])

@@ -384,6 +384,24 @@ class TestWindowRouting:
         record = json.loads(path.read_text())
         assert engine.SPECULATE_MIN_NODES == record["SPECULATE_MIN_NODES"]
         assert engine.SPECULATE_MIN_WINDOW == record["SPECULATE_MIN_WINDOW"]
+        assert engine.VECTORISE_MIN_WINDOW == record["VECTORISE_MIN_WINDOW"]
+
+    @pytest.mark.parametrize(
+        "size", [1, 2, engine.VECTORISE_MIN_WINDOW - 1, engine.VECTORISE_MIN_WINDOW]
+    )
+    def test_small_windows_skip_the_group_index(self, monkeypatch, size):
+        session = open_session(SERVICE, seed=1, assignment_engine="kernel")
+        origins, files = _requests(session, size, seed=size)
+        builds = []
+        build = engine.build_group_index
+
+        def counting_build(*args, **kwargs):
+            builds.append(size)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_group_index", counting_build)
+        session.dispatch_batch(origins, files)
+        assert bool(builds) == (size >= engine.VECTORISE_MIN_WINDOW)
 
     @pytest.mark.parametrize("size", [16384, 65536])
     def test_static_bench_windows_speculate(self, size):

@@ -21,10 +21,17 @@ import pytest
 from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError, StrategyError
-from repro.kernels import batch_commit
-from repro.kernels.engine import SPECULATE_MIN_NODES, SPECULATE_MIN_WINDOW
+from repro.kernels import batch_commit, engine as kernel_engine
+from repro.kernels.engine import (
+    SPECULATE_MIN_NODES,
+    SPECULATE_MIN_WINDOW,
+    VECTORISE_MIN_WINDOW,
+)
+from repro.kernels.group_index import GroupStore
+from repro.kernels.loads import LoadVector
 from repro.placement.cache import CacheState
 from repro.placement.proportional import ProportionalPlacement
+from repro.rng import spawn_generators
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import run_single_trial
 from repro.strategies.hybrid import ThresholdHybridStrategy
@@ -146,6 +153,122 @@ class TestBaselinesDifferential:
 def test_nearest_replica_differential(topology):
     cache, requests = _system(topology)
     _assert_identical(NearestReplicaStrategy, topology, cache, requests, seed=47)
+
+
+#: Window sizes around the kernel engine's small-window threshold: below it
+#: a d-choice window is served per request, from it on through the numpy
+#: group index.
+SMALL_WINDOWS = [1, 2, VECTORISE_MIN_WINDOW - 1, VECTORISE_MIN_WINDOW]
+
+#: ``(strategy class, kwargs, small-window helper, vectorised helper)``.
+SMALL_WINDOW_STRATEGIES = {
+    "two_choice": (
+        ProximityTwoChoiceStrategy,
+        {"num_choices": 2},
+        kernel_engine._two_choice_scalar,
+        kernel_engine._two_choice_vectorised,
+    ),
+    "hybrid": (
+        ThresholdHybridStrategy,
+        {"num_choices": 2, "imbalance_threshold": 1.0},
+        kernel_engine._threshold_hybrid_scalar,
+        kernel_engine._threshold_hybrid_vectorised,
+    ),
+    "least_loaded": (
+        LeastLoadedInBallStrategy,
+        {},
+        kernel_engine._least_loaded_scalar,
+        kernel_engine._least_loaded_vectorised,
+    ),
+}
+
+
+def _small_window(topology, size, *, repeat):
+    """The first ``size`` requests; ``repeat`` makes the last one a repeat
+    of the first (one ``(origin, file)`` key twice in the window)."""
+    cache, requests = _system(topology, num_requests=64)
+    index = np.arange(size)
+    if repeat and size > 1:
+        index[-1] = 0
+    return cache, requests.subset(index)
+
+
+def _outcome(run):
+    """The result, or the type of the strategy error it raised."""
+    try:
+        return run()
+    except StrategyError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("size", SMALL_WINDOWS)
+@pytest.mark.parametrize("fallback", ["nearest", "expand", "error"])
+@pytest.mark.parametrize("radius", [2, np.inf])
+@pytest.mark.parametrize("strategy_key", SMALL_WINDOW_STRATEGIES)
+class TestSmallWindowDifferential:
+    """Both sides of ``VECTORISE_MIN_WINDOW`` match the reference engine."""
+
+    def test_matches_reference(self, strategy_key, radius, fallback, size):
+        strategy_cls, kwargs, _, _ = SMALL_WINDOW_STRATEGIES[strategy_key]
+        topology = Torus2D(49)
+        for repeat in (False, True):
+            cache, requests = _small_window(topology, size, repeat=repeat)
+            params = dict(kwargs, radius=radius, fallback=fallback)
+            reference = _outcome(
+                lambda: strategy_cls(engine="reference", **params).assign(
+                    topology, cache, requests, seed=17
+                )
+            )
+            for engine in NON_REFERENCE_ENGINES:
+                strategy = strategy_cls(engine=engine, **params)
+                # Cold store, then the same window again against the rows
+                # the first pass stored.
+                store = GroupStore()
+                for _ in range(2):
+                    got = _outcome(
+                        lambda: strategy.serve(
+                            topology,
+                            cache,
+                            requests,
+                            streams=spawn_generators(17, 2),
+                            loads=LoadVector(topology.n),
+                            store=store,
+                        )
+                    )
+                    if isinstance(reference, type):
+                        assert got is reference
+                        continue
+                    np.testing.assert_array_equal(got.servers, reference.servers)
+                    np.testing.assert_array_equal(got.distances, reference.distances)
+                    np.testing.assert_array_equal(
+                        got.fallback_mask, reference.fallback_mask
+                    )
+
+    def test_store_traffic_matches_vectorised(self, strategy_key, radius, fallback, size):
+        """The per-request path leaves a store as the batched build does."""
+        strategy_cls, kwargs, scalar, vectorised = SMALL_WINDOW_STRATEGIES[strategy_key]
+        topology = Torus2D(49)
+        cache, requests = _small_window(topology, size, repeat=True)
+        params = dict(kwargs, radius=radius, fallback=fallback, strategy_name="x")
+        if "imbalance_threshold" in params:  # the kernels' name for it
+            params["threshold"] = params.pop("imbalance_threshold")
+        stores = []
+        for helper in (scalar, vectorised):
+            store = GroupStore()
+            # Warm half the window's keys first, so hits and misses mix.
+            half = requests.subset(np.arange(0, size, 2))
+            _outcome(lambda: helper(topology, cache, half, 3, store=store, **params))
+            _outcome(lambda: helper(topology, cache, requests, 4, store=store, **params))
+            stores.append(store)
+        scalar_store, vectorised_store = stores
+        assert (scalar_store.hits, scalar_store.misses) == (
+            vectorised_store.hits,
+            vectorised_store.misses,
+        )
+        assert sorted(scalar_store.keys()) == sorted(vectorised_store.keys())
+        for key in scalar_store.keys():
+            for got, expected in zip(scalar_store.get(key), vectorised_store.get(key)):
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestEdgeCases:

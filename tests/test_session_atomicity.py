@@ -14,11 +14,14 @@ the engine itself, on static sessions and on queueing sessions of every
 engine.
 
 Each streaming engine runs on a small shape (25 servers, 12-request
-windows).  On static sessions the ``kernel`` engine also runs on a large one
-(``-large`` ids): a network and windows at the routing thresholds of
-:mod:`repro.kernels.engine`, where its sampled d-choice commits take the
-speculative rounds instead of the scalar loop, so both commit paths stay
-pinned.  The queueing event loop has one commit path, so it runs small only.
+windows).  On static sessions the ``kernel`` engine also runs on shapes at
+the routing thresholds of :mod:`repro.kernels.engine`, so each of its paths
+stays pinned: 2-request windows whose second request is the bad one
+(``-pair``: the per-request small-window path), windows of
+``VECTORISE_MIN_WINDOW`` requests (``-window``: the numpy group index and the
+scalar commit) and a large network with large windows (``-large``: the
+speculative rounds).  The queueing event loop has one commit path, so it
+runs small only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,11 @@ import pytest
 from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError
-from repro.kernels.engine import SPECULATE_MIN_NODES, SPECULATE_MIN_WINDOW
+from repro.kernels.engine import (
+    SPECULATE_MIN_NODES,
+    SPECULATE_MIN_WINDOW,
+    VECTORISE_MIN_WINDOW,
+)
 from repro.placement.proportional import ProportionalPlacement
 from repro.session import CacheNetworkSession
 from repro.session.queueing import open_queueing_session
@@ -57,6 +64,8 @@ class Shape(NamedTuple):
 
 
 SMALL = Shape(25, 60, 12)
+PAIR = Shape(25, 60, 2)
+WINDOW = Shape(25, 60, VECTORISE_MIN_WINDOW)
 #: The smallest square torus at the node threshold, windows at the window one.
 _SIDE = math.isqrt(SPECULATE_MIN_NODES - 1) + 1
 LARGE = Shape(_SIDE * _SIDE, 3 * _SIDE * _SIDE, SPECULATE_MIN_WINDOW)
@@ -76,10 +85,14 @@ STRATEGIES = {
 }
 
 #: Every engine that can serve windows (the reference engine is one-shot),
-#: plus ``kernel`` on the large shape.
+#: plus ``kernel`` on the shapes of its other paths.
 ENGINES = _small(
     [name for name in available_engines("assignment") if name != "reference"]
-) + [pytest.param("kernel", LARGE, id="kernel-large")]
+) + [
+    pytest.param("kernel", PAIR, id="kernel-pair"),
+    pytest.param("kernel", WINDOW, id="kernel-window"),
+    pytest.param("kernel", LARGE, id="kernel-large"),
+]
 
 #: Every queueing engine: each checks the window's files before it drains a
 #: departure, moves the clock or draws from a stream.
@@ -120,11 +133,13 @@ def _good_windows(session, count, size, seed):
 
 
 def _bad_window(session, good):
-    """``good`` with one request redirected to an uncached file mid-window."""
+    """``good`` with one request redirected to an uncached file mid-window
+    (the second of a 2-request window).  The highest uncached file id, so
+    rows of lower files are built before the error in file order."""
     uncached = session.cache.uncached_files()
     assert uncached.size > 0
     files = good.files.copy()
-    files[files.size // 2] = uncached[0]
+    files[files.size // 2] = uncached.max()
     return _window(session, good.origins, files)
 
 
@@ -147,11 +162,14 @@ def test_failed_window_commits_nothing(strategy, engine, shape, served_before):
     digest = session.state_digest()
     loads = session.loads()
     num_windows = session.num_windows
+    group_rows = session.artifacts.stats()["group_rows"]
     with pytest.raises(NoReplicaError):
         session.serve(_bad_window(session, windows[served_before]))
     assert session.state_digest() == digest
     assert session.num_windows == num_windows
     np.testing.assert_array_equal(session.loads(), loads)
+    # Nor does it store the rows it built before the bad one.
+    assert session.artifacts.stats()["group_rows"] == group_rows
 
     for window in windows[served_before:]:
         _assert_same_decisions(session.serve(window).assignment, clean.serve(window).assignment)

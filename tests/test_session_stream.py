@@ -51,6 +51,9 @@ PARTITIONS = {
     "single_first": [1, 249],
     "with_empty_windows": [0, 125, 0, 125],
     "many": [50] * 5,
+    # 1-request windows (the per-request small-window path) around one window
+    # above VECTORISE_MIN_WINDOW (the numpy group index), sharing one store.
+    "singles_around_large": [1] * 5 + [NUM_REQUESTS - 10] + [1] * 5,
 }
 
 
